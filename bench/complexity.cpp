@@ -1,9 +1,15 @@
 // §4.6 — "ZigZag is linear in the number of colliding senders".
 // google-benchmark timings of the decoder vs number of senders and packet
-// size; the per-sender cost should grow roughly linearly.
+// size; the per-sender cost should grow roughly linearly. Per-kernel
+// microbenches of the §4.2.3(b) image path (chunk render, block
+// interpolation) follow the end-to-end ones.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "bench_util.h"
+#include "zz/chan/channel.h"
+#include "zz/signal/interp.h"
 
 using namespace zz;
 
@@ -83,9 +89,65 @@ void BM_StandardDecode(benchmark::State& state) {
   }
 }
 
+// Clock drift of the kernel benches' link: arg 0 gives a drift-free link,
+// as every receiver-side estimate is (tap weights reused across symbols);
+// arg 1 a simulator-like drift of 1.3e-6 (every symbol computes its own).
+double bench_drift(const benchmark::State& state) {
+  return state.range(0) != 0 ? 1.3e-6 : 0.0;
+}
+
+// chan::add_signal over one whole frame: the image render of §4.2.3(b).
+void BM_Render(benchmark::State& state) {
+  Rng rng(55);
+  const auto p = bench::make_party(
+      rng, 1, 5, static_cast<std::size_t>(state.range(1)), 12.0);
+  chan::ChannelParams ch = p.channel;
+  ch.drift = bench_drift(state);
+  const CVec& sym = p.frame.symbols;
+  CVec buf(2 * sym.size() + 128, cplx{0.0, 0.0});
+  for (auto _ : state) {
+    chan::add_signal(buf, 32, sym, ch);
+    benchmark::DoNotOptimize(buf.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(sym.size()));
+}
+
+// SincInterpolator::at_batch over a 200 B frame's symbol positions, one
+// call per 16-symbol tracking block as ChunkDecoder::raw_block issues them.
+void BM_AtBatch(benchmark::State& state) {
+  Rng rng(56);
+  const auto p = bench::make_party(rng, 1, 5, 200, 12.0);
+  const CVec rx = chan::clean_reception(rng, p.frame.symbols, p.channel);
+  const double drift = bench_drift(state);
+  const std::size_t n = p.frame.symbols.size();
+  const std::ptrdiff_t origin = 64;
+  std::vector<double> pos(n);
+  for (std::size_t k = 0; k < n; ++k)
+    pos[k] = static_cast<double>(origin) +
+             (chan::kSps * static_cast<double>(k) * (1.0 + drift) +
+              p.channel.mu);
+  const sig::SincInterpolator interp(8);
+  constexpr std::size_t kBlock = 16;
+  CVec out(kBlock);
+  for (auto _ : state) {
+    for (std::size_t k0 = 0; k0 < n; k0 += kBlock) {
+      const std::size_t m = std::min(kBlock, n - k0);
+      interp.at_batch(rx, {pos.data() + k0, m}, out.data());
+    }
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+
 }  // namespace
 
 BENCHMARK(BM_DecodeVsSenders)->Arg(1)->Arg(2)->Arg(3)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DecodeVsPayload)->Arg(100)->Arg(200)->Arg(400)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StandardDecode)->Arg(200)->Arg(400)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Render)
+    ->ArgNames({"drift", "bytes"})
+    ->ArgsProduct({{0, 1}, {80, 200}})
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_AtBatch)->ArgName("drift")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 BENCHMARK_MAIN();

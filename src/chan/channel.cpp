@@ -1,7 +1,9 @@
 #include "zz/chan/channel.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "zz/common/mathutil.h"
 
@@ -380,9 +382,9 @@ void render(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
                       wgt_scratch.data() + 2 * max_taps,
                       wgt_scratch.data() + 3 * max_taps};
 
-  // Per-symbol window geometry + rotor start state; false for a symbol with
-  // no taps inside the accumulation window.
-  const auto setup = [&](std::size_t k, Sym& s) {
+  // Per-symbol window geometry; false for a symbol with no taps inside the
+  // accumulation window.
+  const auto geometry = [&](std::size_t k, Sym& s) {
     s.tk = kSps * static_cast<double>(k) * (1.0 + p.drift) + p.mu;
     s.lo = std::max<std::ptrdiff_t>(
         static_cast<std::ptrdiff_t>(std::ceil(s.tk - hw)), mbase);
@@ -390,12 +392,6 @@ void render(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
         static_cast<std::ptrdiff_t>(std::floor(s.tk + hw)), mend - 1);
     if (hi < s.lo) return false;
     s.cnt = static_cast<std::size_t>(hi - s.lo + 1);
-    // Rotors for x = m - tk starting at m = lo.
-    const double x_lo = static_cast<double>(s.lo) - s.tk;
-    s.t.sin_u = std::sin(kPi * x_lo / kSps);
-    s.t.cos_u = std::cos(kPi * x_lo / kSps);
-    s.t.sin_w = std::sin(kPi * x_lo / hw);
-    s.t.cos_w = std::cos(kPi * x_lo / hw);
     return true;
   };
   const auto accumulate = [&](const Sym& s, const cplx uk, const double* w) {
@@ -411,19 +407,19 @@ void render(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
   if (g_render_group_width_override > 0)
     group_width = std::min<std::size_t>(
         group_width, static_cast<std::size_t>(g_render_group_width_override));
+  // Width 1 is the from-scratch reference the reuse below is pinned to.
+  const bool reuse = group_width > 1;
 
+  // Symbols whose weights are still to be computed, in ascending k.
   Sym syms[4];
   cplx uks[4];
-  std::size_t k = k0;
-  while (k < k1) {
-    // Gather the next group of contributing symbols (ascending k).
-    std::size_t ns = 0;
-    while (k < k1 && ns < group_width) {
-      if (std::norm(u[k]) >= 1e-24 && setup(k, syms[ns])) uks[ns++] = u[k];
-      ++k;
-    }
-    if (ns == 0) break;
-
+  std::size_t ns = 0;
+  // Weights of the last symbol computed or queued: a symbol with the same
+  // (x_lo, cnt) key reuses them (the key fixes every tap, see channel.h).
+  std::uint64_t last_xlo = 0;
+  std::size_t last_cnt = 0;  // 0 = no key yet (every symbol has cnt >= 1)
+  const double* last_w = nullptr;
+  const auto flush = [&] {
 #if defined(ZZ_CHAN_AVX2_DISPATCH)
     if (ns == 4) {
       weights_quad<Kernel>(syms, hw, cdu, sdu, cdw, sdw, lanes);
@@ -440,7 +436,31 @@ void render(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
                            lanes[0]);
     }
     for (std::size_t j = 0; j < ns; ++j) accumulate(syms[j], uks[j], lanes[j]);
+    last_w = lanes[ns - 1];
+    ns = 0;
+  };
+
+  for (std::size_t k = k0; k < k1; ++k) {
+    Sym& s = syms[ns];
+    if (std::norm(u[k]) < 1e-24 || !geometry(k, s)) continue;
+    const double x_lo = static_cast<double>(s.lo) - s.tk;
+    const auto xlo_bits = std::bit_cast<std::uint64_t>(x_lo);
+    if (reuse && xlo_bits == last_xlo && s.cnt == last_cnt) {
+      // Accumulation stays in ascending k: the queued symbols go first
+      // (flush leaves this unqueued slot alone).
+      if (ns > 0) flush();
+      accumulate(s, u[k], last_w);
+      continue;
+    }
+    // Rotors for x = m - tk starting at m = lo.
+    s.t = {std::sin(kPi * x_lo / kSps), std::cos(kPi * x_lo / kSps),
+           std::sin(kPi * x_lo / hw), std::cos(kPi * x_lo / hw)};
+    uks[ns++] = u[k];
+    last_xlo = xlo_bits;
+    last_cnt = s.cnt;
+    if (ns == group_width) flush();
   }
+  if (ns > 0) flush();
 
   // Carrier rotation e^{j2πδf·m} via a rotor re-anchored periodically so
   // rounding drift stays below the subtraction-fidelity floor.

@@ -76,22 +76,37 @@ double pulse(double x, std::size_t interp_half_width = 8);
 ///
 /// `interp_half_width` is the windowed-sinc pulse half width in symbols
 /// (§4.2.3b: "about 8 symbols in the neighborhood").
+///
+/// Weight reuse: symbol k's pulse taps run over samples lo..lo + cnt - 1
+/// around its time tk, and their weights are a function of (x_lo = lo - tk,
+/// cnt) alone: each tap argument (lo + i) - tk rounds exactly as x_lo + i
+/// does (the subtraction is exact except for symbols whose window is
+/// clipped at sample 0, where lo = 0 and x_lo = -tk). So a symbol whose
+/// (x_lo, cnt) matches the previous one's reuses its weights. For a
+/// drift-free link estimate — every receiver-side render, since the
+/// receiver never estimates drift — tk = kSps·k + μ carries the same
+/// rounded fraction for every symbol in one binade of tk, so an n-symbol
+/// render computes about log2(2n) + 8 weight vectors instead of n (one per
+/// binade, plus one per symbol clipped at sample 0). With drift ≠ 0 keys
+/// rarely repeat and every symbol computes its own.
 void add_signal(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
                 const ChannelParams& p, double scale = 1.0,
                 std::size_t interp_half_width = 8);
 
-/// Same as add_signal but renders the time-derivative of the signal with
-/// respect to the sampling offset μ. Used by the receiver's timing tracker:
-/// a residual sampling error δμ shows up as δμ · d(image)/dμ.
+/// Same as add_signal (weight reuse included) but renders the
+/// time-derivative of the signal with respect to the sampling offset μ.
+/// Used by the receiver's timing tracker: a residual sampling error δμ
+/// shows up as δμ · d(image)/dμ.
 void add_signal_derivative(CVec& buf, std::ptrdiff_t offset,
                            const CVec& symbols, const ChannelParams& p,
                            std::size_t interp_half_width = 8);
 
 /// Test hook: cap the render's symbol-group width (4 = CPU-dispatched AVX2
-/// quads where available, 2 = SSE2 pairs, 1 = scalar tap loop; 0 restores
-/// CPU dispatch). All widths are bit-identical by contract — the drift
-/// gates run on whatever the CI machine dispatches, so tests pin the
-/// narrower paths against the widest one through this knob.
+/// quads where available, 2 = SSE2 pairs, 1 = scalar tap loop computing
+/// every symbol's weights from scratch, with no reuse; 0 restores CPU
+/// dispatch). All widths are bit-identical by contract — the drift gates
+/// run on whatever the CI machine dispatches, so tests pin the narrower
+/// paths and the weight reuse against width 1 through this knob.
 void set_render_group_width_for_test(int width);
 
 /// Convenience: render a whole clean reception (signal + AWGN of unit power

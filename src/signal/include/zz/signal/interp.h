@@ -17,7 +17,11 @@ namespace zz::sig {
 /// Windowed-sinc interpolator over a complex sample stream.
 class SincInterpolator {
  public:
-  /// `half_width`: number of neighbouring samples used on each side.
+  /// Largest supported half width; the kernel taps live in a stack array.
+  static constexpr std::size_t kMaxHalfWidth = 64;
+
+  /// `half_width`: number of neighbouring samples used on each side, in
+  /// [1, kMaxHalfWidth] (std::invalid_argument otherwise).
   explicit SincInterpolator(std::size_t half_width = 8);
 
   std::size_t half_width() const { return half_width_; }
@@ -34,6 +38,18 @@ class SincInterpolator {
   /// hoisted across the whole run — this is the decoder's per-tracking-
   /// block fetch path (ChunkDecoder::raw_block supplies the positions,
   /// which its legacy per-symbol formula defines).
+  ///
+  /// Weight reuse: an interior position (whole window inside the stream)
+  /// has taps at lo = floor(t) - hw + 1 ... lo + 2hw - 1, and its weights
+  /// are a function of x0 = t - lo alone — every tap argument t - i equals
+  /// x0 - (i - lo) exactly, because t ≥ hw - 1 and the integer i are
+  /// multiples of ulp(t) at most hw apart. So a position whose x0 has the same bit
+  /// pattern as the previous interior one reuses its weights. For
+  /// raw_block's positions origin + 2k + μ of a drift-free link estimate
+  /// (the receiver never estimates drift), x0 is constant within each
+  /// binade of t, so a block recomputes weights a handful of times, not
+  /// once per position. Edge positions always take at()'s renormalized
+  /// path.
   void at_batch(const CVec& x, std::span<const double> t, cplx* out) const;
 
   /// Convenience block evaluation at uniformly spaced positions
@@ -53,6 +69,11 @@ class SincInterpolator {
  private:
   /// One interpolated value with the recurrence constants precomputed.
   cplx point(const CVec& x, double t, double cd, double sd) const;
+  /// Interior-window taps for x0 = t - lo into w; returns how many lie
+  /// inside the kernel window (2·half_width, or one fewer when t is an
+  /// integer and the last tap sits on the window edge).
+  std::size_t interior_weights(double x0, double cd, double sd,
+                               double* w) const;
   double kernel(double x) const;  ///< Hann-windowed sinc.
   std::size_t half_width_;
 };

@@ -1,16 +1,29 @@
 #include "zz/signal/interp.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "zz/common/mathutil.h"
 
 namespace zz::sig {
+namespace {
+
+/// Σ_j x[lo + j]·w[j] over j in [0, n), in ascending j.
+cplx dot(const CVec& x, std::ptrdiff_t lo, const double* w, std::size_t n) {
+  const cplx* xs = x.data() + lo;
+  cplx acc{0.0, 0.0};
+  for (std::size_t j = 0; j < n; ++j) acc += xs[j] * w[j];
+  return acc;
+}
+
+}  // namespace
 
 SincInterpolator::SincInterpolator(std::size_t half_width)
     : half_width_(half_width) {
-  if (half_width_ == 0)
-    throw std::invalid_argument("SincInterpolator: zero half width");
+  if (half_width_ == 0 || half_width_ > kMaxHalfWidth)
+    throw std::invalid_argument("SincInterpolator: half width out of range");
 }
 
 double SincInterpolator::kernel(double x) const {
@@ -20,6 +33,42 @@ double SincInterpolator::kernel(double x) const {
   // reconstruction error sits well below the AWGN floor of every experiment.
   const double w = 0.5 * (1.0 + std::cos(kPi * x / hw));
   return sinc(x) * w;
+}
+
+std::size_t SincInterpolator::interior_weights(double x0, double cd,
+                                              double sd, double* w) const {
+  const double hwd = static_cast<double>(half_width_);
+  // Consecutive kernel arguments differ by exactly 1, so the two
+  // transcendental factors recur instead of being re-evaluated per tap:
+  //   sin(π(x0 - j)) = ±sin(πf)          (alternating sign)
+  //   cos(π(x0 - j)/hw)                  (fixed-angle rotor)
+  // This is ~2 sin/cos calls per window instead of 2 per tap, and matches
+  // the direct evaluation to ~1e-15.
+  const double s0 = std::sin(kPi * x0);
+  const double phi0 = kPi * x0 / hwd;
+  double cw = std::cos(phi0);
+  double sw = std::sin(phi0);
+  double sign = 1.0;  // (-1)^j for the sine alternation
+  const std::size_t taps = 2 * half_width_;
+  std::size_t j = 0;
+  for (; j < taps; ++j) {
+    const double xv = x0 - static_cast<double>(j);
+    // x0 < hw, so only the last tap can leave the window (at xv = -hw,
+    // when the position sits on the sample grid).
+    if (std::abs(xv) >= hwd) break;
+    if (std::abs(xv) < 1e-9) {
+      w[j] = 0.5 * (1.0 + cw);
+    } else {
+      const double s = sign * s0 / (kPi * xv);  // sinc(xv)
+      w[j] = s * 0.5 * (1.0 + cw);              // Hann window
+    }
+    // Advance the window rotor: cos(phi0 - (j+1)·dphi).
+    const double cn = cw * cd + sw * sd;
+    sw = sw * cd - cw * sd;
+    cw = cn;
+    sign = -sign;
+  }
+  return j;
 }
 
 cplx SincInterpolator::point(const CVec& x, double t, double cd,
@@ -34,41 +83,11 @@ cplx SincInterpolator::point(const CVec& x, double t, double cd,
   if (hi < lo) return cplx{0.0, 0.0};
   const double hwd = static_cast<double>(half_width_);
 
-  // Consecutive kernel arguments differ by exactly 1, so the two
-  // transcendental factors recur instead of being re-evaluated per tap:
-  //   sin(π(x0 - j)) = ±sin(πf)          (alternating sign)
-  //   cos(π(x0 - j)/hw)                  (fixed-angle rotor)
-  // This is ~2 sin/cos calls per interpolation instead of 2 per tap, and
-  // matches the direct evaluation to ~1e-15.
   if (lo == full_lo && hi == full_hi) {
     // Interior fast path: the whole kernel window is inside the stream.
-    const double x0 = t - static_cast<double>(lo);  // largest argument, > 0
-    const double s0 = std::sin(kPi * x0);
-    const double phi0 = kPi * x0 / hwd;
-    double cw = std::cos(phi0);
-    double sw = std::sin(phi0);
-
-    cplx acc{0.0, 0.0};
-    double sign = 1.0;  // (-1)^j for the sine alternation
-    for (std::ptrdiff_t i = lo; i <= hi; ++i) {
-      const double xv = t - static_cast<double>(i);
-      if (std::abs(xv) < hwd) {
-        double k;
-        if (std::abs(xv) < 1e-9) {
-          k = 0.5 * (1.0 + cw);
-        } else {
-          const double s = sign * s0 / (kPi * xv);   // sinc(xv)
-          k = s * 0.5 * (1.0 + cw);                  // Hann window
-        }
-        acc += x[static_cast<std::size_t>(i)] * k;
-      }
-      // Advance the window rotor: cos(phi0 - (j+1)·dphi).
-      const double cn = cw * cd + sw * sd;
-      sw = sw * cd - cw * sd;
-      cw = cn;
-      sign = -sign;
-    }
-    return acc;
+    double w[2 * kMaxHalfWidth];
+    return dot(x, lo, w, interior_weights(t - static_cast<double>(lo), cd,
+                                          sd, w));
   }
 
   // Edge path: the stream boundary truncates the kernel window. A plain
@@ -128,7 +147,26 @@ void SincInterpolator::at_batch(const CVec& x, std::span<const double> t,
   const double dphi = kPi / static_cast<double>(half_width_);
   const double cd = std::cos(dphi);
   const double sd = std::sin(dphi);
-  for (std::size_t j = 0; j < t.size(); ++j) out[j] = point(x, t[j], cd, sd);
+  const auto hw = static_cast<std::ptrdiff_t>(half_width_);
+  const auto last = static_cast<std::ptrdiff_t>(x.size()) - 1;
+  // Interior weights of the last interior position, keyed on x0's bits.
+  double w[2 * kMaxHalfWidth];
+  std::size_t nw = 0;  // 0 = no key yet (an interior window has taps)
+  std::uint64_t key = 0;
+  for (std::size_t j = 0; j < t.size(); ++j) {
+    const auto lo = static_cast<std::ptrdiff_t>(std::floor(t[j])) - hw + 1;
+    if (lo < 0 || lo + 2 * hw - 1 > last) {
+      out[j] = point(x, t[j], cd, sd);  // edge: renormalized window
+      continue;
+    }
+    const double x0 = t[j] - static_cast<double>(lo);
+    const auto bits = std::bit_cast<std::uint64_t>(x0);
+    if (nw == 0 || bits != key) {
+      nw = interior_weights(x0, cd, sd, w);
+      key = bits;
+    }
+    out[j] = dot(x, lo, w, nw);
+  }
 }
 
 void SincInterpolator::at_uniform(const CVec& x, double t0, double dt,

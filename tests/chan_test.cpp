@@ -153,6 +153,61 @@ TEST(Channel, RenderGroupWidthsAreBitIdentical) {
   }
 }
 
+TEST(Channel, DriftFreeWeightReuseIsBitIdentical) {
+  // With drift = 0 (every receiver-side link estimate) consecutive symbols
+  // share their tap-weight key (x_lo, cnt) within each binade of
+  // tk = 2k + μ, and the render reuses the weights. Width 1 computes every
+  // symbol from scratch; the reusing widths must match it bit for bit.
+  // Odd length, ISI, tk crossing binades up to 512, and symbols from k = 0
+  // so the first windows clip at sample 0. Half width 5 leaves a pair of
+  // symbols queued when the first reuse comes (8 leaves one).
+  Rng rng(607);
+  const CVec packet = random_bpsk(rng, 301);
+  // A sparse chunk image as ZigZag renders it: zeros outside the chunk and
+  // one zeroed symbol inside.
+  const CVec chunk = [&] {
+    CVec c(packet.size(), cplx{0.0, 0.0});
+    for (std::size_t k = 40; k < 233; ++k) c[k] = packet[k];
+    c[100] = cplx{0.0, 0.0};
+    return c;
+  }();
+
+  for (const double mu : {0.3183098861837907, -0.4142135623730951}) {
+    ChannelParams p;
+    p.h = {0.9, 0.7};
+    p.freq_offset = -3e-4;
+    p.mu = mu;
+    p.isi =
+        sig::Fir({cplx{0.05, -0.03}, cplx{1.0, 0.0}, cplx{0.1, 0.08}}, 1);
+    for (const std::size_t half : {std::size_t{8}, std::size_t{5}}) {
+      for (const CVec* x : {&packet, &chunk}) {
+        for (const bool derivative : {false, true}) {
+          const auto render_with = [&](int width) {
+            set_render_group_width_for_test(width);
+            CVec buf(660, cplx{0.0, 0.0});
+            if (derivative)
+              add_signal_derivative(buf, 0, *x, p, half);
+            else
+              add_signal(buf, 0, *x, p, 1.0, half);
+            set_render_group_width_for_test(0);
+            return buf;
+          };
+          const CVec scratch = render_with(1);
+          for (const int width : {0, 2, 4}) {
+            const CVec reused = render_with(width);
+            for (std::size_t i = 0; i < scratch.size(); ++i)
+              ASSERT_EQ(scratch[i], reused[i])
+                  << "mu=" << mu << " half=" << half
+                  << " chunk=" << (x == &chunk)
+                  << " derivative=" << derivative << " width=" << width
+                  << " i=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Channel, RandomChannelRespectsConfig) {
   Rng rng(8);
   ImpairmentConfig cfg;

@@ -149,6 +149,28 @@ TEST(Interp, BlockEvaluationMatchesPerSampleGolden) {
   }
 }
 
+TEST(Interp, BatchWeightReuseMatchesPerPoint) {
+  // at_batch reuses the interior kernel weights while x0 = t - lo keeps its
+  // bit pattern, which for the decoder's positions origin + 2k + μ holds
+  // across each binade of t. Walk such a run across the 1024/2048 binade
+  // boundaries and off both stream edges; every value must equal at().
+  const SincInterpolator interp(8);
+  const CVec x = bandlimited(2100);
+  for (const double mu : {0.3183098861837907, -0.4142135623730951}) {
+    const std::ptrdiff_t origin = -5;
+    std::vector<double> pos;
+    for (std::size_t k = 0; k < 1060; ++k)
+      pos.push_back(static_cast<double>(origin) +
+                    (2.0 * static_cast<double>(k) + mu));
+    ASSERT_LT(pos.front(), 0.0);
+    ASSERT_GT(pos.back(), static_cast<double>(x.size()));
+    CVec batch(pos.size());
+    interp.at_batch(x, pos, batch.data());
+    for (std::size_t j = 0; j < pos.size(); ++j)
+      EXPECT_EQ(batch[j], interp.at(x, pos[j])) << "mu=" << mu << " j=" << j;
+  }
+}
+
 TEST(Interp, EdgeWindowKeepsInteriorGain) {
   // A truncated kernel window at the stream edge used to come back
   // attenuated (a DC stream read ~0.5 at sample 0); the clipped window is
@@ -176,6 +198,12 @@ TEST(Interp, ShiftInheritsEdgeRenormalization) {
 
 TEST(Interp, RejectsZeroHalfWidth) {
   EXPECT_THROW(SincInterpolator(0), std::invalid_argument);
+}
+
+TEST(Interp, RejectsHalfWidthAboveTapBound) {
+  EXPECT_NO_THROW(SincInterpolator(SincInterpolator::kMaxHalfWidth));
+  EXPECT_THROW(SincInterpolator(SincInterpolator::kMaxHalfWidth + 1),
+               std::invalid_argument);
 }
 
 TEST(Interp, OutOfRangeReadsAreZero) {

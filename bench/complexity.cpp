@@ -1,15 +1,21 @@
 // §4.6 — "ZigZag is linear in the number of colliding senders".
 // google-benchmark timings of the decoder vs number of senders and packet
 // size; the per-sender cost should grow roughly linearly. Per-kernel
-// microbenches of the §4.2.3(b) image path (chunk render, block
-// interpolation) follow the end-to-end ones.
+// microbenches follow the end-to-end ones: the FFT, §4.2.1 preamble
+// correlation, §4.2.2 packet matching, the §4.2.3(a) chunk decoder and the
+// §4.2.3(b) image path (chunk render, block interpolation).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 
 #include "bench_util.h"
 #include "zz/chan/channel.h"
+#include "zz/phy/preamble.h"
+#include "zz/phy/tracker.h"
+#include "zz/signal/correlate.h"
+#include "zz/signal/fft.h"
 #include "zz/signal/interp.h"
+#include "zz/zigzag/matcher.h"
 
 using namespace zz;
 
@@ -89,6 +95,96 @@ void BM_StandardDecode(benchmark::State& state) {
   }
 }
 
+// One in-place forward transform of size n (the input is restored from a
+// copy each iteration so the values stay bounded).
+void BM_Fft(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(51);
+  CVec in(n);
+  for (auto& v : in) v = cplx{rng.gaussian(), rng.gaussian()};
+  const sig::Fft fft(n);
+  CVec work(n);
+  for (auto _ : state) {
+    std::copy(in.begin(), in.end(), work.begin());
+    fft.forward(work.data());
+    benchmark::DoNotOptimize(work.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+// The detector's use of SlidingCorrelator: prepare one 4096-sample window
+// against the preamble, then correlate it under two client frequency
+// hypotheses.
+void BM_Correlate(benchmark::State& state) {
+  Rng rng(52);
+  const auto p = bench::make_party(rng, 1, 5, 200, 12.0);
+  CVec rx = chan::clean_reception(rng, p.frame.symbols, p.channel);
+  rx.resize(4096, cplx{0.0, 0.0});
+  sig::SlidingCorrelator corr(phy::preamble_waveform());
+  CVec gamma;
+  for (auto _ : state) {
+    corr.prepare(rx);
+    corr.correlate(p.profile.freq_offset, gamma);
+    corr.correlate(-p.profile.freq_offset, gamma);
+    benchmark::DoNotOptimize(gamma.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+// §4.2.2 as ZigZagReceiver runs it: one prepare() of a new reception's
+// window, then score() of 4 stored receptions (one of them the same
+// packet, retransmitted over a fresh channel).
+void BM_MatchScore(benchmark::State& state) {
+  Rng rng(53);
+  std::vector<CVec> stored;
+  std::vector<bench::Party> parties;
+  for (std::uint8_t i = 1; i <= 4; ++i) {
+    parties.push_back(bench::make_party(rng, i, 5, 200, 12.0));
+    stored.push_back(chan::clean_reception(rng, parties.back().frame.symbols,
+                                           parties.back().channel));
+  }
+  const CVec rx = chan::clean_reception(
+      rng, phy::with_retry(parties[0].frame, true).symbols,
+      chan::retransmission_channel(rng, parties[0].channel, 0.0));
+  constexpr std::ptrdiff_t kOrigin = 64;  // clean_reception's lead
+  zigzag::PacketMatcher matcher;
+  for (auto _ : state) {
+    matcher.prepare(rx, kOrigin);
+    for (const CVec& s : stored) {
+      const auto sc = matcher.score(s, kOrigin);
+      benchmark::DoNotOptimize(sc);
+    }
+  }
+}
+
+// ChunkDecoder::decode of a whole 200 B BPSK packet from a clean
+// reception, tracking from the preamble estimate.
+void BM_ChunkDecode(benchmark::State& state) {
+  Rng rng(54);
+  const auto p = bench::make_party(rng, 1, 5, 200, 12.0);
+  const CVec rx = chan::clean_reception(rng, p.frame.symbols, p.channel);
+  const auto pe = phy::estimate_at_peak(rx, 64, p.channel.freq_offset);
+  phy::LinkEstimate est0;
+  est0.params.h = pe.h;
+  est0.params.freq_offset = p.channel.freq_offset;
+  est0.params.mu = pe.mu;
+  est0.params.isi = p.channel.isi;
+  est0.equalizer = p.profile.equalizer;
+  est0.noise_var = phy::estimate_noise_floor(rx);
+  const std::size_t total = p.frame.layout.total_syms;
+  std::vector<phy::SymbolSpec> specs(total);
+  const CVec& pre = phy::preamble();
+  for (std::size_t k = 0; k < pre.size(); ++k) specs[k].pilot = pre[k];
+  const phy::ChunkDecoder dec;
+  for (auto _ : state) {
+    phy::LinkEstimate est = est0;
+    auto res = dec.decode(rx, pe.origin, 0, total, specs, est);
+    benchmark::DoNotOptimize(res);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(total));
+}
+
 // Clock drift of the kernel benches' link: arg 0 gives a drift-free link,
 // as every receiver-side estimate is (tap weights reused across symbols);
 // arg 1 a simulator-like drift of 1.3e-6 (every symbol computes its own).
@@ -145,6 +241,10 @@ void BM_AtBatch(benchmark::State& state) {
 BENCHMARK(BM_DecodeVsSenders)->Arg(1)->Arg(2)->Arg(3)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DecodeVsPayload)->Arg(100)->Arg(200)->Arg(400)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StandardDecode)->Arg(200)->Arg(400)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Fft)->Arg(256)->Arg(2048)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Correlate)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MatchScore)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ChunkDecode)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Render)
     ->ArgNames({"drift", "bytes"})
     ->ArgsProduct({{0, 1}, {80, 200}})

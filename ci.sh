@@ -202,12 +202,13 @@ cmake --build build -j "$(nproc)"
   --out build/BENCH_decoder.json
 test -s build/BENCH_decoder.json
 
-# --- Kernel microbench smoke: one short pass of bench/complexity's render
-# and block-interpolation benches, so they keep building and running.
+# --- Kernel microbench smoke: one short pass of bench/complexity's kernel
+# benches (FFT, correlation, matching, chunk decode, render, block
+# interpolation), so they keep building and running.
 # Timings are printed, not gated. The target needs Google Benchmark; without
 # it CMake skips the target and this step with it.
 if [[ -x build/bench/complexity ]]; then
-  ./build/bench/complexity --benchmark_filter='Render|AtBatch' \
+  ./build/bench/complexity --benchmark_filter='Render|AtBatch|Fft|Correlate|MatchScore|ChunkDecode' \
     --benchmark_min_time=0.01
 else
   echo "ci.sh: Google Benchmark not found — skipping the complexity smoke"

@@ -58,11 +58,9 @@ struct SymbolSpec {
 /// buffer, mutating the caller's LinkEstimate as it tracks.
 class ChunkDecoder {
  public:
-  /// `block_interp` selects the batched per-tracking-block symbol fetch
-  /// (SincInterpolator::at_batch). The per-symbol route is kept as the
-  /// golden reference; the two produce bit-identical decodes.
-  ChunkDecoder(TrackingGains gains = {}, std::size_t interp_half_width = 8,
-               bool block_interp = true);
+  /// `interp_half_width` is the sinc interpolator's taps per side; symbols
+  /// are fetched one tracking block at a time (SincInterpolator::at_batch).
+  ChunkDecoder(TrackingGains gains = {}, std::size_t interp_half_width = 8);
 
   struct Result {
     CVec soft;     ///< equalized complex symbol estimates (one per symbol)
@@ -81,22 +79,14 @@ class ChunkDecoder {
   const TrackingGains& gains() const { return gains_; }
   std::size_t interp_half_width() const { return hw_; }
 
-  bool block_interp() const { return block_interp_; }
-
  private:
-  /// Interpolated, de-rotated, gain-normalized sample for symbol index k.
-  cplx raw_symbol(const CVec& buf, std::ptrdiff_t origin, double k,
-                  const LinkEstimate& est) const;
-
-  /// Raw symbols for the whole index range [m0, m1) into `z` — one block
-  /// interpolation pass instead of a raw_symbol call per symbol (or the
-  /// per-symbol reference route when block_interp is off).
+  /// Interpolated, de-rotated, gain-normalized samples for the symbol index
+  /// range [m0, m1) into `z`, from one block interpolation pass.
   void raw_block(const CVec& buf, std::ptrdiff_t origin, std::ptrdiff_t m0,
                  std::ptrdiff_t m1, const LinkEstimate& est, CVec& z) const;
 
   TrackingGains gains_;
   std::size_t hw_;
-  bool block_interp_;
   sig::SincInterpolator interp_;
 };
 

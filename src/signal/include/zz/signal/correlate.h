@@ -1,5 +1,4 @@
-// Sliding correlation — the workhorse of §4.2.1 ("Is It a Collision?") and
-// §4.2.2 ("Did the AP Receive Two Matching Collisions?").
+// Sliding correlation — the workhorse of §4.2.1 ("Is It a Collision?").
 //
 // The AP slides the known preamble across the received stream; the
 // correlation magnitude is near zero everywhere except where the preamble
@@ -47,10 +46,11 @@ cplx correlation_at(const CVec& reference, const CVec& stream,
                     std::size_t offset,
                     double freq_offset_cycles_per_sample = 0.0);
 
-/// Batched sliding correlator: overlap-save FFT convolution of one
-/// reference against streams, with the stream transforms hoisted so that
-/// multiple frequency-offset hypotheses (one per client profile, §4.2.1)
-/// reuse them. Not thread-safe; give each thread its own instance.
+/// Batched sliding correlator for §4.2.1 preamble detection: overlap-save
+/// FFT convolution of one fixed reference (the preamble) against streams,
+/// with the stream transforms hoisted so that multiple frequency-offset
+/// hypotheses (one per client profile) reuse them. Not thread-safe; give
+/// each thread its own instance.
 class SlidingCorrelator {
  public:
   explicit SlidingCorrelator(CVec reference);
@@ -58,13 +58,6 @@ class SlidingCorrelator {
   const CVec& reference() const { return ref_; }
   /// Σ|s[k]|² of the reference (the Γ' normalizer of §4.2.4a).
   double reference_energy() const { return eref_; }
-
-  /// Swap in a new reference of the SAME length (throws otherwise),
-  /// keeping the prepared stream transforms. This is what makes n-way
-  /// packet matching cheap: one prepare() of the new reception serves a
-  /// correlate() against every stored packet segment, each costing only a
-  /// kernel FFT instead of a fresh O(N·M) pass.
-  void set_reference(CVec reference);
 
   /// Block-transform `stream` once; subsequent correlate() calls reuse the
   /// transforms until the next prepare().

@@ -6,22 +6,15 @@
 // to channel phase, noise and the retransmission flag, so the normalized
 // correlation is large; unrelated (scrambled) packets decorrelate.
 //
-// Two routes compute the same score. `match_same_packet` is the original
-// O(span) single-alignment loop, kept as the golden reference. The
-// `PacketMatcher` engine routes through sig::SlidingCorrelator: the new
-// reception's segment is block-transformed once and every stored packet
-// swaps in as the correlator's reference, so an n-way registry match costs
-// one prepare() plus one kernel FFT per candidate instead of re-walking the
-// samples per pair — and a non-zero alignment slack searches the whole
-// window at no extra asymptotic cost. Both routes agree to ~1e-11 (tests
-// pin 1e-9) at slack 0.
+// The score is one normalized correlation at the detected alignment,
+// |Σ a·conj(b)| / √(E1·E2) over up to `span` samples past the skip. The
+// new reception's window is copied once by prepare(); every stored
+// candidate then costs one O(span) pass in score().
 #pragma once
 
 #include <cstddef>
-#include <optional>
 
 #include "zz/common/types.h"
-#include "zz/signal/correlate.h"
 
 namespace zz::zigzag {
 
@@ -29,63 +22,36 @@ struct MatchConfig {
   std::size_t skip = 192;    ///< samples to skip past preamble+header
   std::size_t span = 512;    ///< samples to correlate
   double threshold = 0.30;   ///< normalized score required for a match
-  /// Alignment slack (samples) searched around the hypothesized start in
-  /// the second reception: the peak within ±slack is scored. 0 reproduces
-  /// the single-alignment reference exactly; a small slack absorbs
-  /// detector origin jitter between receptions.
-  std::size_t slack = 0;
 };
 
 struct MatchScore {
   double score = 0.0;  ///< |<s1, s2>| / sqrt(E1·E2) over the compared span
   bool matched = false;
-  /// Alignment correction (samples) of the best-scoring lag relative to
-  /// the hypothesized start2 (always 0 when cfg.slack is 0).
-  std::ptrdiff_t lag = 0;
 };
 
-/// Compare the transmissions starting at `start1` in `rx1` and `start2` in
-/// `rx2`: are they the same packet? Starts are the detected packet origins.
-/// Golden-reference route (naive single-alignment correlation).
-MatchScore match_same_packet(const CVec& rx1, std::ptrdiff_t start1,
-                             const CVec& rx2, std::ptrdiff_t start2,
-                             const MatchConfig& cfg = {});
-
-/// Batched §4.2.2 matcher over the SlidingCorrelator engine. Typical n-way
-/// use: prepare(rx2, start2) once for a new detection, then score() every
-/// stored packet against it — the stream transforms are shared and each
-/// candidate costs one reference swap. Not thread-safe; one per thread.
+/// §4.2.2 matcher. Typical n-way use: prepare(rx2, start2) once for a new
+/// detection, then score() every stored packet against it. Not
+/// thread-safe; one per thread.
 class PacketMatcher {
  public:
   explicit PacketMatcher(MatchConfig cfg = {});
 
   const MatchConfig& config() const { return cfg_; }
 
-  /// Block-transform the comparison window of `rx2` around `start2`
-  /// (span + 2·slack samples past the skip). Subsequent score() calls
-  /// reuse the transforms. Returns false when the window is too short to
-  /// judge (score() then reports no match).
+  /// Copy the comparison window of `rx2` (up to span samples past
+  /// start2 + skip). Returns false when fewer than 64 samples are
+  /// available; score() then reports no match until the next successful
+  /// prepare().
   bool prepare(const CVec& rx2, std::ptrdiff_t start2);
 
   /// Score the packet starting at `start1` in `rx1` against the prepared
-  /// reception. Same normalized metric as match_same_packet; with
-  /// cfg.slack > 0 the best lag in the window wins.
-  MatchScore score(const CVec& rx1, std::ptrdiff_t start1);
-
-  /// One-shot convenience mirroring the match_same_packet signature.
-  MatchScore match(const CVec& rx1, std::ptrdiff_t start1, const CVec& rx2,
-                   std::ptrdiff_t start2);
+  /// window. The compared length is the shorter of the two windows and
+  /// must be at least 64 samples; a silent or non-finite window scores 0.
+  MatchScore score(const CVec& rx1, std::ptrdiff_t start1) const;
 
  private:
   MatchConfig cfg_;
-  std::optional<sig::SlidingCorrelator> corr_;  ///< lazily sized to span
-  CVec stream_;                 ///< prepared comparison window
-  std::vector<double> energy_;  ///< prefix sums of |stream|² (O(1) windows)
-  CVec gamma_;                  ///< correlate() output scratch
-  CVec ref_;                    ///< reference segment scratch
-  std::size_t span_ = 0;        ///< effective compare length this prepare
-  std::ptrdiff_t base_ = 0;     ///< zero-lag alignment index within stream_
-  bool prepared_ = false;
+  CVec window_;  ///< prepared comparison window; empty when none
 };
 
 }  // namespace zz::zigzag

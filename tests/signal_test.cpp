@@ -153,21 +153,31 @@ TEST(Interp, BatchWeightReuseMatchesPerPoint) {
   // at_batch reuses the interior kernel weights while x0 = t - lo keeps its
   // bit pattern, which for the decoder's positions origin + 2k + μ holds
   // across each binade of t. Walk such a run across the 1024/2048 binade
-  // boundaries and off both stream edges; every value must equal at().
+  // boundaries and off both stream edges; every value must equal at(). The
+  // drifted run, origin + 2k(1 + drift) + μ, is the position sequence
+  // ChunkDecoder feeds at_batch for a link estimate with nonzero drift,
+  // where the weights change from symbol to symbol.
   const SincInterpolator interp(8);
   const CVec x = bandlimited(2100);
-  for (const double mu : {0.3183098861837907, -0.4142135623730951}) {
+  const struct {
+    double mu, drift;
+  } runs[] = {{0.3183098861837907, 0.0},
+              {-0.4142135623730951, 0.0},
+              {0.2718281828459045, 3.7e-5}};
+  for (const auto& run : runs) {
     const std::ptrdiff_t origin = -5;
     std::vector<double> pos;
     for (std::size_t k = 0; k < 1060; ++k)
       pos.push_back(static_cast<double>(origin) +
-                    (2.0 * static_cast<double>(k) + mu));
+                    (2.0 * static_cast<double>(k) * (1.0 + run.drift) +
+                     run.mu));
     ASSERT_LT(pos.front(), 0.0);
     ASSERT_GT(pos.back(), static_cast<double>(x.size()));
     CVec batch(pos.size());
     interp.at_batch(x, pos, batch.data());
     for (std::size_t j = 0; j < pos.size(); ++j)
-      EXPECT_EQ(batch[j], interp.at(x, pos[j])) << "mu=" << mu << " j=" << j;
+      EXPECT_EQ(batch[j], interp.at(x, pos[j]))
+          << "mu=" << run.mu << " drift=" << run.drift << " j=" << j;
   }
 }
 
@@ -335,37 +345,6 @@ TEST(Correlate, FastMatchesNaiveGolden) {
       EXPECT_NEAR(parabolic_peak_offset(naive, pk),
                   parabolic_peak_offset(fast, pk), 1e-9);
   }
-}
-
-// set_reference() swaps the reference while keeping the prepared stream —
-// the n-way matcher's reuse pattern. Must equal a fresh correlator.
-TEST(Correlate, SetReferenceReusesPreparedStream) {
-  Rng rng(65);
-  const CVec ref_a = random_bpsk(rng, 96);
-  const CVec ref_b = random_bpsk(rng, 96);
-  CVec stream(2048);
-  for (auto& v : stream) v = cplx{rng.gaussian(), rng.gaussian()};
-
-  SlidingCorrelator corr(ref_a);
-  corr.prepare(stream);
-  CVec out;
-  corr.correlate(0.0, out);
-  const CVec fresh_a = SlidingCorrelator(ref_a).correlate(stream);
-  ASSERT_EQ(out.size(), fresh_a.size());
-  for (std::size_t d = 0; d < out.size(); ++d)
-    EXPECT_LT(std::abs(out[d] - fresh_a[d]), 1e-12);
-
-  corr.set_reference(ref_b);
-  double eb = 0.0;
-  for (const cplx& v : ref_b) eb += std::norm(v);
-  EXPECT_NEAR(corr.reference_energy(), eb, 1e-9);
-  corr.correlate(0.0, out);
-  const CVec fresh_b = SlidingCorrelator(ref_b).correlate(stream);
-  ASSERT_EQ(out.size(), fresh_b.size());
-  for (std::size_t d = 0; d < out.size(); ++d)
-    EXPECT_LT(std::abs(out[d] - fresh_b[d]), 1e-9);
-
-  EXPECT_THROW(corr.set_reference(random_bpsk(rng, 64)), std::invalid_argument);
 }
 
 // prepare() once, correlate() per hypothesis — the detector's batched use.

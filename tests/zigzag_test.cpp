@@ -4,6 +4,7 @@
 // receiver pipeline of §5.1(d).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -367,11 +368,46 @@ TEST(Detector, CaptureDisparityKeepsStrongStart) {
   EXPECT_GE(strong_found, trials - 1);
 }
 
+// Golden reference for §4.2.2: the textbook single-alignment normalized
+// correlation, written independently of PacketMatcher's prepare/score split.
+MatchScore match_same_packet(const CVec& rx1, std::ptrdiff_t start1,
+                             const CVec& rx2, std::ptrdiff_t start2,
+                             const MatchConfig& cfg = {}) {
+  MatchScore out;
+  const std::ptrdiff_t s1 = start1 + static_cast<std::ptrdiff_t>(cfg.skip);
+  const std::ptrdiff_t s2 = start2 + static_cast<std::ptrdiff_t>(cfg.skip);
+  if (s1 < 0 || s2 < 0) return out;
+
+  const std::size_t n1 = rx1.size() > static_cast<std::size_t>(s1)
+                             ? rx1.size() - static_cast<std::size_t>(s1)
+                             : 0;
+  const std::size_t n2 = rx2.size() > static_cast<std::size_t>(s2)
+                             ? rx2.size() - static_cast<std::size_t>(s2)
+                             : 0;
+  const std::size_t span = std::min(cfg.span, std::min(n1, n2));
+  if (span < 64) return out;  // not enough overlap to judge
+
+  cplx acc{0.0, 0.0};
+  double e1 = 0.0, e2 = 0.0;
+  for (std::size_t i = 0; i < span; ++i) {
+    const cplx a = rx1[static_cast<std::size_t>(s1) + i];
+    const cplx b = rx2[static_cast<std::size_t>(s2) + i];
+    acc += a * std::conj(b);
+    e1 += std::norm(a);
+    e2 += std::norm(b);
+  }
+  if (e1 < 1e-12 || e2 < 1e-12) return out;
+  out.score = std::abs(acc) / std::sqrt(e1 * e2);
+  out.matched = out.score >= cfg.threshold;
+  return out;
+}
+
 TEST(Matcher, SamePacketMatchesAcrossCollisions) {
   Rng rng(24);
   auto s = make_pair_scenario(rng, 300, 10.0, 150, 400);
-  const auto score = match_same_packet(s.c1.samples, s.c1.truth[1].start,
-                                       s.c2.samples, s.c2.truth[1].start);
+  PacketMatcher m;
+  ASSERT_TRUE(m.prepare(s.c2.samples, s.c2.truth[1].start));
+  const auto score = m.score(s.c1.samples, s.c1.truth[1].start);
   EXPECT_TRUE(score.matched);
   EXPECT_GT(score.score, 0.3);
 }
@@ -380,13 +416,14 @@ TEST(Matcher, DifferentPacketsDoNotMatch) {
   Rng rng(25);
   auto s1 = make_pair_scenario(rng, 300, 10.0, 150, 400);
   auto s2 = make_pair_scenario(rng, 300, 10.0, 150, 400);
-  const auto score = match_same_packet(s1.c1.samples, s1.c1.truth[1].start,
-                                       s2.c1.samples, s2.c1.truth[1].start);
+  PacketMatcher m;
+  ASSERT_TRUE(m.prepare(s2.c1.samples, s2.c1.truth[1].start));
+  const auto score = m.score(s1.c1.samples, s1.c1.truth[1].start);
   EXPECT_FALSE(score.matched);
 }
 
-// The SlidingCorrelator route must reproduce the naive single-alignment
-// reference bit-for-bit in score and verdict (golden equivalence, 1e-9).
+// prepare() + score() must reproduce the single-alignment golden reference
+// bit for bit in score and verdict, including truncated tail windows.
 TEST(Matcher, EngineRouteMatchesNaiveGolden) {
   Rng rng(26);
   PacketMatcher engine;
@@ -401,41 +438,84 @@ TEST(Matcher, EngineRouteMatchesNaiveGolden) {
     const std::ptrdiff_t starts2[] = {
         s.c2.truth[0].start, s.c2.truth[1].start, 3,
         static_cast<std::ptrdiff_t>(s.c2.samples.size()) - 280};
-    for (const auto st1 : starts1)
-      for (const auto st2 : starts2) {
+    for (const auto st2 : starts2) {
+      ASSERT_TRUE(engine.prepare(s.c2.samples, st2)) << "st2=" << st2;
+      for (const auto st1 : starts1) {
         const auto naive =
             match_same_packet(s.c1.samples, st1, s.c2.samples, st2);
-        const auto fast =
-            engine.match(s.c1.samples, st1, s.c2.samples, st2);
-        EXPECT_NEAR(fast.score, naive.score, 1e-9)
-            << "st1=" << st1 << " st2=" << st2;
+        const auto fast = engine.score(s.c1.samples, st1);
+        EXPECT_EQ(fast.score, naive.score) << "st1=" << st1 << " st2=" << st2;
         EXPECT_EQ(fast.matched, naive.matched)
             << "st1=" << st1 << " st2=" << st2;
-        EXPECT_EQ(fast.lag, 0);
         ++compared;
       }
+    }
   }
   EXPECT_EQ(compared, 36u);
 }
 
-// One prepare() serves many candidates, and a non-zero slack recovers a
-// misaligned start hypothesis (origin jitter between receptions).
-TEST(Matcher, SlackRecoversMisalignedStart) {
+// Sample-in boundary: starts off either end of the buffer or too close to
+// its tail are a defined reject (no match, no contract abort), and a
+// rejected prepare() never leaves a stale window behind for score().
+TEST(Matcher, OutOfRangeStartsReject) {
   Rng rng(27);
   auto s = make_pair_scenario(rng, 300, 20.0, 150, 400);
-  MatchConfig cfg;
-  cfg.slack = 8;
-  PacketMatcher engine(cfg);
-  // Hypothesize Bob's start in c2 five samples early: the true alignment
-  // sits at lag +5 inside the slack window.
-  ASSERT_TRUE(engine.prepare(s.c2.samples, s.c2.truth[1].start - 5));
-  const auto score = engine.score(s.c1.samples, s.c1.truth[1].start);
-  EXPECT_TRUE(score.matched);
-  EXPECT_EQ(score.lag, 5);
-  // And the aligned exact score is at least the zero-slack one.
-  const auto exact = match_same_packet(s.c1.samples, s.c1.truth[1].start,
-                                       s.c2.samples, s.c2.truth[1].start);
-  EXPECT_GE(score.score, exact.score - 1e-9);
+  const MatchConfig cfg;
+  const auto skip = static_cast<std::ptrdiff_t>(cfg.skip);
+  const auto n2 = static_cast<std::ptrdiff_t>(s.c2.samples.size());
+  const std::ptrdiff_t st1 = s.c1.truth[1].start;
+  const std::ptrdiff_t st2 = s.c2.truth[1].start;
+
+  PacketMatcher m(cfg);
+  EXPECT_FALSE(m.score(s.c1.samples, st1).matched);  // before any prepare
+
+  EXPECT_FALSE(m.prepare(s.c2.samples, -skip - 1));
+  EXPECT_FALSE(m.prepare(s.c2.samples, n2));
+  EXPECT_FALSE(m.prepare(s.c2.samples, n2 - skip));
+  EXPECT_FALSE(m.prepare(s.c2.samples, n2 - skip - 63));
+  EXPECT_TRUE(m.prepare(s.c2.samples, n2 - skip - 64));
+  EXPECT_FALSE(m.prepare(CVec{}, 0));
+
+  ASSERT_TRUE(m.prepare(s.c2.samples, st2));
+  EXPECT_TRUE(m.score(s.c1.samples, st1).matched);
+  const auto n1 = static_cast<std::ptrdiff_t>(s.c1.samples.size());
+  for (const std::ptrdiff_t bad : {-skip - 1, n1, n1 - skip - 63}) {
+    const auto r = m.score(s.c1.samples, bad);
+    EXPECT_FALSE(r.matched) << "st1=" << bad;
+    EXPECT_EQ(r.score, 0.0) << "st1=" << bad;
+  }
+
+  // A failed prepare() drops the previous window.
+  EXPECT_FALSE(m.prepare(s.c2.samples, n2));
+  const auto stale = m.score(s.c1.samples, st1);
+  EXPECT_FALSE(stale.matched);
+  EXPECT_EQ(stale.score, 0.0);
+}
+
+// An all-zero window has no energy to normalize by, and NaN samples would
+// poison the score; both reject with score 0 on either side of the match.
+TEST(Matcher, SilentAndNaNWindowsReject) {
+  Rng rng(28);
+  auto s = make_pair_scenario(rng, 300, 20.0, 150, 400);
+  const std::ptrdiff_t st1 = s.c1.truth[1].start;
+  const std::ptrdiff_t st2 = s.c2.truth[1].start;
+  CVec zeros(s.c2.samples.size(), cplx{0.0, 0.0});
+  CVec poisoned = s.c2.samples;
+  const auto at = static_cast<std::size_t>(st2) + MatchConfig{}.skip + 7;
+  poisoned[at] = cplx{std::nan(""), 0.0};
+
+  PacketMatcher m;
+  for (const CVec* stored : {&zeros, &poisoned}) {
+    ASSERT_TRUE(m.prepare(*stored, st2));
+    const auto r = m.score(s.c1.samples, st1);
+    EXPECT_FALSE(r.matched);
+    EXPECT_EQ(r.score, 0.0);
+    // Same input on the scored side.
+    ASSERT_TRUE(m.prepare(s.c1.samples, st1));
+    const auto q = m.score(*stored, st2);
+    EXPECT_FALSE(q.matched);
+    EXPECT_EQ(q.score, 0.0);
+  }
 }
 
 // ---------------------------------------------------------------------------

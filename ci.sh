@@ -94,7 +94,7 @@ run_sanitizer_leg() {  # $1 = asan|tsan
   # Streaming route and AP farm under sanitizers: the sample-in →
   # packet-out pipeline (ring ingest, online framing, chunk decode) and
   # the farm's concurrent machinery (work-stealing shards, per-worker
-  # caches, the episode-memo CAS protocol) are exactly the kind of
+  # arena hand-off across pool batches) are exactly the kind of
   # stateful/racy code sanitizers exist for, but at default scale they
   # are too heavy for 2-10x instrumentation — run them at --quick scale
   # in their own invocation (one run_all run carries one scale).

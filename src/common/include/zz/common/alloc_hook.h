@@ -1,11 +1,12 @@
 // Allocation-counting test hook (AP-farm soak gates).
 //
 // The farm's long-haul soak run must prove that steady-state episodes
-// perform NO heap allocation — arenas, cache shards and the episode memo
-// have to reach a fixed point after warmup, or a thousand-cell farm churns
-// the allocator forever. There is no portable way to observe that from
-// the outside, so this hook replaces the global operator new/delete with
-// counting wrappers (alloc_hook.cpp) and exposes the counters:
+// allocate no more than the first ones and retain nothing — the
+// per-worker arenas have to reach a fixed point after warmup, or a
+// thousand-cell farm grows without bound. There is no portable way to
+// observe that from the outside, so this hook replaces the global
+// operator new/delete with counting wrappers (alloc_hook.cpp) and exposes
+// the counters:
 //
 //  * thread_alloc_counts() — per-thread totals, so a worker can tally the
 //    allocations of exactly the episode it just ran (AllocTally);
@@ -45,8 +46,8 @@ std::int64_t live_heap_bytes();
 std::int64_t peak_heap_bytes();
 
 /// Scoped tally: allocation activity on the calling thread since
-/// construction. The farm wraps each steady-state episode in one and
-/// gates allocs() == 0 after warmup.
+/// construction. The farm wraps each episode in one; the soak gates
+/// compare the steady-state sums against the warmup's.
 class AllocTally {
  public:
   AllocTally() : start_(thread_alloc_counts()) {}

@@ -3,9 +3,9 @@
 //
 // TSan (ci.sh --sanitize=tsan) only observes schedules that happen to run,
 // and a 1-core container barely interleaves at all; the protocols the
-// AP-farm scale-out leans on (work-stealing deque claims, the episode-memo
-// Absent→Building→Ready publish, peak-gauge CAS, reentry/confinement
-// guards) need their CONTRACT verified under all small interleavings, not
+// AP-farm scale-out leans on (work-stealing deque claims, the DecodeCache
+// publish, peak-gauge CAS, reentry/confinement guards) need their
+// CONTRACT verified under all small interleavings, not
 // a lucky schedule. This explorer runs a protocol body on 2-4 virtual
 // threads, enumerates schedules at every zz::Atomic access (DPOR-lite:
 // plain DFS with bounded preemption, plus an exhaustive mode for tiny

@@ -43,7 +43,7 @@ class ThreadPool {
   /// largest remaining block (or the lone remaining index). fn(i, worker)
   /// runs every i in [0, n) exactly once; `worker` is a stable queue id in
   /// [0, min(size(), n)) that is never inside fn on two threads at once,
-  /// so callers key per-worker state (scratch arenas, cache shards) by it.
+  /// so callers key per-worker state (e.g. scratch arenas) by it.
   /// Scheduling — and therefore which worker id an index lands on — is
   /// nondeterministic; bit-identical results at any pool size remain the
   /// caller's contract (per-index RNG shards, worker state that cannot

@@ -1,4 +1,4 @@
-// Model-check explorations of the five production lock-free protocols
+// Model-check explorations of the four production lock-free protocols
 // (zz/common/model/protocols.h). Each protocol struct follows the
 // explore<T> shape: fresh instance per schedule, thread(tid) bodies on
 // virtual threads, invariants in ZZ_MODEL_ASSERT (inline) and finish()
@@ -12,86 +12,10 @@
 #include <cstdint>
 
 #include "zz/common/atomic.h"
-#include "zz/common/once_memo.h"
 #include "zz/common/steal_range.h"
 
 namespace zz::model {
 namespace {
-
-// ------------------------------------------------------------- farm memo
-
-/// The farm's episode-memo protocol (src/farm/farm.cpp::process): readers
-/// acquire-check Ready; misses compute locally, one CAS winner writes the
-/// payload and release-publishes. Contract: at most one publish, the
-/// payload slot is written at most once, and EVERY thread ends up with the
-/// winner's value (readers must never see Ready with a stale payload).
-struct MemoPublish {
-  static constexpr int kThreads = 3;
-  static constexpr std::uint64_t kValue = 42;
-
-  PublishOnceState state;
-  Atomic<std::uint64_t> payload{0};
-  int publishes = 0;             // winner-only (CAS-protected): plain
-  std::uint64_t seen[kThreads] = {};
-
-  void thread(int t) {
-    if (state.ready_acquire()) {
-      seen[t] = payload.load(std::memory_order_relaxed);
-      return;
-    }
-    // Miss: "compute" the (deterministic) aggregate locally.
-    seen[t] = kValue;
-    if (state.try_begin_publish()) {
-      payload.store(kValue, std::memory_order_relaxed);
-      state.publish();
-      ++publishes;
-    }
-  }
-
-  void finish() {
-    ZZ_MODEL_ASSERT(publishes <= 1, "two CAS winners published the slot");
-    for (int t = 0; t < kThreads; ++t)
-      ZZ_MODEL_ASSERT(seen[t] == kValue,
-                      "a reader that passed ready_acquire() observed a "
-                      "stale payload");
-  }
-};
-
-/// Same shape with the release publish weakened to relaxed — the
-/// explorer must find a schedule where a reader sees Ready but reads the
-/// stale (pre-publish) payload.
-struct MemoBrokenRelaxedPublish {
-  static constexpr int kThreads = 3;
-  static constexpr std::uint64_t kValue = 42;
-  enum : unsigned char { kAbsent = 0, kBuilding = 1, kReady = 2 };
-
-  Atomic<unsigned char> state{kAbsent};
-  Atomic<std::uint64_t> payload{0};
-  std::uint64_t seen[kThreads] = {};
-
-  void thread(int t) {
-    if (state.load(std::memory_order_acquire) == kReady) {
-      seen[t] = payload.load(std::memory_order_relaxed);
-      return;
-    }
-    seen[t] = kValue;
-    unsigned char expected = kAbsent;
-    if (state.compare_exchange_strong(expected, kBuilding,
-                                      std::memory_order_acq_rel,
-                                      std::memory_order_relaxed)) {
-      payload.store(kValue, std::memory_order_relaxed);
-      // BUG under test: relaxed publish — nothing orders the payload
-      // store before a reader's acquire of Ready.
-      state.store(kReady, std::memory_order_relaxed);
-    }
-  }
-
-  void finish() {
-    for (int t = 0; t < kThreads; ++t)
-      ZZ_MODEL_ASSERT(seen[t] == kValue,
-                      "stale payload read behind a relaxed publish");
-  }
-};
 
 // ----------------------------------------------------- work-stealing deque
 
@@ -417,12 +341,6 @@ Options tuned(int threads, int preemptions) {
 
 }  // namespace
 
-Result run_memo_publish() {
-  return explore<MemoPublish>(tuned(3, 3));
-}
-Result run_memo_broken_relaxed_publish() {
-  return explore<MemoBrokenRelaxedPublish>(tuned(3, 2));
-}
 Result run_deque_steal() {
   return explore<DequeSteal>(tuned(2, 3));
 }
@@ -447,12 +365,6 @@ Result run_confinement_broken_relaxed() {
 
 std::vector<ProtocolRun> run_protocol_suite() {
   std::vector<ProtocolRun> runs;
-  runs.push_back({"memo-publish",
-                  "one publish; readers of Ready see the winner's payload",
-                  false, run_memo_publish()});
-  runs.push_back({"memo-broken-relaxed-publish",
-                  "relaxed publish store MUST be caught by the explorer",
-                  true, run_memo_broken_relaxed_publish()});
   runs.push_back({"deque-steal",
                   "every index claimed exactly once across pop/steal races",
                   false, run_deque_steal()});

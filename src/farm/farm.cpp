@@ -5,7 +5,6 @@
 
 #include "zz/common/alloc_hook.h"
 #include "zz/common/check.h"
-#include "zz/common/once_memo.h"
 #include "zz/common/thread_pool.h"
 #include "zz/signal/scratch.h"
 #include "zz/testbed/episode.h"
@@ -14,9 +13,8 @@
 namespace zz::farm {
 namespace {
 
-/// POD per-episode aggregate — the unit the soak memo stores and the merge
-/// accumulates. Fixed arrays only: a memo hit is an index lookup plus this
-/// struct's copy, with no heap traffic.
+/// POD per-episode aggregate — the unit the merge accumulates. Fixed arrays
+/// only, so a slot holds it without heap traffic.
 struct EpisodeAgg {
   std::uint64_t rounds = 0;
   std::uint64_t concurrent_rounds = 0;
@@ -67,9 +65,8 @@ void accumulate(CellResult& c, const EpisodeAgg& a) {
 /// The episode-seed discipline, shared verbatim by ApFarm and run_cell so
 /// the scale-out and the serial reference draw identical streams.
 std::uint64_t episode_seed(std::uint64_t farm_seed, std::size_t cell,
-                           std::size_t episode, std::size_t distinct_seeds) {
-  const std::size_t e = distinct_seeds ? episode % distinct_seeds : episode;
-  return shard_seed(shard_seed(farm_seed, cell), e);
+                           std::size_t episode) {
+  return shard_seed(shard_seed(farm_seed, cell), episode);
 }
 
 EpisodeAgg play_episode(const CellSpec& spec, std::uint64_t seed,
@@ -102,16 +99,13 @@ void validate_cell(const CellSpec& cell) {
 }  // namespace
 
 CellResult run_cell(const CellSpec& cell, std::size_t cell_index,
-                    std::uint64_t seed, std::size_t episodes,
-                    std::size_t distinct_seeds) {
+                    std::uint64_t seed, std::size_t episodes) {
   validate_cell(cell);
   CellResult out;
   out.cell = cell_index;
   for (std::size_t e = 0; e < episodes; ++e)
-    accumulate(out, play_episode(cell,
-                                 episode_seed(seed, cell_index, e,
-                                              distinct_seeds),
-                                 {}));
+    accumulate(out,
+               play_episode(cell, episode_seed(seed, cell_index, e), {}));
   return out;
 }
 
@@ -119,27 +113,15 @@ struct ApFarm::Impl {
   std::vector<CellSpec> cells;
   FarmOptions opt;
   ThreadPool pool;
-  zigzag::DecodeCacheShards shards;
+  /// One per stable worker id, reused by every episode that lands on the
+  /// worker — the farm's only cross-episode state.
   std::vector<sig::ScratchArena> arenas;
-  std::vector<EpisodeAgg> memo;
-  /// Memo slot lifecycle: Absent → (one CAS winner) Building → Ready
-  /// (zz::PublishOnceState — the protocol itself lives in
-  /// zz/common/once_memo.h where the memo model suite explores it). Only
-  /// the winner writes the entry; readers acquire-load Ready before
-  /// touching it, so entries are immutable-once-published and race-free.
-  /// A loser that raced the winner computes its own (identical) aggregate
-  /// locally and publishes nothing — deterministic either way.
-  std::vector<PublishOnceState> memo_state;
 
   Impl(std::vector<CellSpec> cs, const FarmOptions& o)
       : cells(std::move(cs)), opt(o), pool(opt.workers),
-        shards(pool.size()), arenas(pool.size()) {
+        arenas(pool.size()) {
     if (cells.empty()) throw std::invalid_argument("ApFarm: no cells");
     for (const auto& c : cells) validate_cell(c);
-    if (opt.distinct_seeds && opt.memoize_episodes) {
-      memo.resize(cells.size() * opt.distinct_seeds);
-      memo_state = std::vector<PublishOnceState>(memo.size());
-    }
   }
 
   /// Per-episode outcome, filled on the worker and merged serially after
@@ -148,35 +130,21 @@ struct ApFarm::Impl {
   struct Slot {
     EpisodeAgg agg;
     std::uint64_t allocs = 0;
-    unsigned char memo_hit = 0;
-    unsigned char memo_miss = 0;
+    std::uint64_t cache_hits = 0;
+    std::uint64_t cache_misses = 0;
+    std::uint64_t cache_entries = 0;
   };
 
   void process(std::size_t cell, std::size_t e, std::size_t worker,
                Slot& slot) {
     AllocTally tally;
-    testbed::EpisodeResources res;
-    if (opt.use_decode_cache) res.cache = &shards.shard(worker);
-    if (opt.reuse_arenas) res.arena = &arenas[worker];
-    const std::uint64_t seed =
-        episode_seed(opt.seed, cell, e, opt.distinct_seeds);
-    if (memo.empty()) {
-      slot.agg = play_episode(cells[cell], seed, res);
-      slot.memo_miss = 1;
-    } else {
-      const std::size_t k =
-          cell * opt.distinct_seeds + e % opt.distinct_seeds;
-      if (memo_state[k].ready_acquire()) {
-        slot.agg = memo[k];
-        slot.memo_hit = 1;
-      } else {
-        slot.agg = play_episode(cells[cell], seed, res);
-        slot.memo_miss = 1;
-        if (memo_state[k].try_begin_publish()) {
-          memo[k] = slot.agg;
-          memo_state[k].publish();
-        }
-      }
+    {
+      zigzag::DecodeCache cache;
+      slot.agg = play_episode(cells[cell], episode_seed(opt.seed, cell, e),
+                              {&cache, &arenas[worker]});
+      slot.cache_hits = cache.hits();
+      slot.cache_misses = cache.misses();
+      slot.cache_entries = cache.size();
     }
     slot.allocs = tally.allocs();
   }
@@ -197,8 +165,9 @@ struct ApFarm::Impl {
       const Slot& s = slots[i];
       accumulate(out.cells[i / epc], s.agg);
       out.episode_allocs += s.allocs;
-      out.memo_hits += s.memo_hit;
-      out.memo_misses += s.memo_miss;
+      out.decode_cache_hits += s.cache_hits;
+      out.decode_cache_misses += s.cache_misses;
+      out.decode_cache_entries += s.cache_entries;
     }
     out.episodes = n;
     for (const auto& c : out.cells) {
@@ -206,9 +175,6 @@ struct ApFarm::Impl {
       out.delivered += c.delivered;
       out.collisions_resolved += c.collisions_resolved;
     }
-    out.decode_cache_hits = shards.hits();
-    out.decode_cache_misses = shards.misses();
-    out.decode_cache_entries = shards.entries();
     return out;
   }
 };

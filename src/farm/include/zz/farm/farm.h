@@ -16,15 +16,14 @@
 // bit-identical at any worker count — the farm_test pins 1/2/4/8 workers
 // against each other and against the serial run_cell reference.
 //
-// Per-worker resources make the steady state cheap: each stable worker id
-// owns one DecodeCache shard (warm chunk replays without lock contention)
-// and one ScratchArena (decoder workspaces stop allocating once their
-// capacity plateaus). In soak mode (distinct_seeds > 0) each cell cycles a
-// fixed set of episode seeds and the farm memoizes each (cell, seed)
-// episode's aggregate: after one full warmup cycle every episode is a memo
-// hit — an index lookup plus a POD copy — and the farm's steady state
-// performs zero heap allocations (gated by the allocation-counting hook,
-// see FarmResult::episode_allocs and tests/farm_soak_test.cpp).
+// Every episode runs the engine: the paper's AP decodes every collision it
+// hears, and so does each cell. An episode gets its own DecodeCache (the
+// receiver's chunk-decode memo, dropped with the episode — fingerprints
+// hash the samples, so no other episode could ever hit its entries) and
+// borrows its worker's ScratchArena, whose capacity plateaus after the
+// first episodes. The arenas are the farm's only cross-episode state, so
+// the retained heap stays flat however many episodes a farm plays (gated
+// by the allocation-counting hook, see tests/farm_soak_test.cpp).
 #pragma once
 
 #include <array>
@@ -46,24 +45,12 @@ struct CellSpec {
 };
 
 /// Sender count ceiling per cell — keeps episode aggregates POD (fixed
-/// arrays, no per-episode heap traffic in the soak steady state).
+/// arrays merged without heap traffic).
 inline constexpr std::size_t kMaxCellSenders = 8;
 
 struct FarmOptions {
   std::uint64_t seed = 1;      ///< farm-level RNG shard base
   std::size_t workers = 0;     ///< pool size; 0 = one per hardware thread
-  /// Soak mode: > 0 makes episode e of every cell replay seed e % n from a
-  /// fixed set of n distinct seeds — the endless-stream shape. 0 gives
-  /// every episode a fresh seed (throughput mode).
-  std::size_t distinct_seeds = 0;
-  /// Soak only: memoize each (cell, seed) episode's aggregate, so after
-  /// one full warmup cycle every episode is an index lookup plus a POD
-  /// copy and the steady state performs zero heap allocations. Turn off to
-  /// re-run repeated episodes through the engine instead — the decode
-  /// cache warm-replay shape (chunk decodes hit, episodes still execute).
-  bool memoize_episodes = true;
-  bool use_decode_cache = true;  ///< per-worker DecodeCache shards
-  bool reuse_arenas = true;      ///< per-worker episode-persistent arenas
 };
 
 /// Integer aggregate of the episodes one cell has played. All fields are
@@ -95,14 +82,11 @@ struct FarmResult {
   std::uint64_t rounds = 0;
   std::uint64_t delivered = 0;
   std::uint64_t collisions_resolved = 0;
-  /// operator new calls observed inside episode processing (memo lookup,
-  /// episode run, slot accumulation) summed over all episodes — the soak
-  /// gate's subject. Warm memo replay must report 0 here.
+  /// operator new calls observed inside episode processing (episode run
+  /// plus its DecodeCache, slot accumulation) summed over all episodes.
   std::uint64_t episode_allocs = 0;
-  std::uint64_t memo_hits = 0;    ///< episodes served from the memo
-  std::uint64_t memo_misses = 0;  ///< episodes that ran the engine
-  /// DecodeCache shard totals at quiescence (run() end), cumulative over
-  /// the farm's lifetime.
+  /// Per-episode DecodeCache totals summed over this run's episodes —
+  /// exact, and the same at any worker count.
   std::uint64_t decode_cache_hits = 0;
   std::uint64_t decode_cache_misses = 0;
   std::uint64_t decode_cache_entries = 0;
@@ -113,14 +97,12 @@ struct FarmResult {
   }
 };
 
-/// Serial reference: cell `cell_index` of a farm configured with `seed`
-/// and `distinct_seeds`, played for `episodes` episodes with no pool, no
-/// decode cache, no arena and no memo. ApFarm's per-cell results must be
-/// bit-identical to this (test-pinned) — it is the definition of what the
-/// scale-out computes.
+/// Serial reference: cell `cell_index` of a farm configured with `seed`,
+/// played for `episodes` episodes with no pool, no decode cache and no
+/// arena. ApFarm's per-cell results must be bit-identical to this
+/// (test-pinned) — it is the definition of what the scale-out computes.
 CellResult run_cell(const CellSpec& cell, std::size_t cell_index,
-                    std::uint64_t seed, std::size_t episodes,
-                    std::size_t distinct_seeds = 0);
+                    std::uint64_t seed, std::size_t episodes);
 
 class ApFarm {
  public:
@@ -134,9 +116,9 @@ class ApFarm {
 
   /// Play `episodes_per_cell` episodes of every cell, fanned out over the
   /// pool, and return the merged result. Episode numbering restarts at 0
-  /// each call, so in soak mode a second run() replays the same seeds —
-  /// the warm-replay path the soak gates measure. Counters in the result
-  /// cover this run only, except the decode-cache totals (cumulative).
+  /// each call, so a second run() replays the same seeds — through the
+  /// engine again, with only the warm arenas carried over. Counters in the
+  /// result cover this run only.
   FarmResult run(std::size_t episodes_per_cell);
 
   std::size_t cells() const;

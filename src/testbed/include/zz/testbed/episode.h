@@ -18,16 +18,16 @@
 
 namespace zz::testbed {
 
-/// Borrowed per-worker decode resources threaded into the episode's AP
-/// (ZigZag receiver kinds only; ignored by the others). `cache` becomes
-/// the receiver's shared chunk-decode memo — persistent across receptions
-/// and across episodes, so warm replay of a repeated episode hits instead
-/// of re-running the black-box decoder. `arena` supplies the decoder's
-/// scratch buffers, reused across episodes so steady-state decodes stop
-/// allocating. Both are thread-confined by their own contracts: one
-/// resource set must never be inside two concurrently-stepped episodes
-/// (the farm keys a set by the pool's stable worker id). Results are
-/// bit-identical with or without them.
+/// Borrowed decode resources threaded into the episode's AP (ZigZag
+/// receiver kinds only; ignored by the others). `cache` becomes the
+/// receiver's chunk-decode memo for the whole episode — persistent across
+/// receptions, so a chunk the AP decodes twice hits the second time; the
+/// farm gives every episode a fresh one. `arena` supplies the decoder's
+/// scratch buffers, reused across episodes so their capacity plateaus.
+/// Both are thread-confined by their own contracts: one resource set must
+/// never be inside two concurrently-stepped episodes (the farm keys an
+/// arena by the pool's stable worker id). Results are bit-identical with
+/// or without them.
 struct EpisodeResources {
   zigzag::DecodeCache* cache = nullptr;
   sig::ScratchArena* arena = nullptr;

@@ -32,8 +32,8 @@ struct DecodeCache::Impl {
   };
   // Concurrency contract (docs/ANALYSIS.md §3, pinned by
   // DecodeCacheStress.*): the cache is internally synchronized so decoder
-  // engines on different threads can share one instance — the shared-cache
-  // design the AP-farm scale-out is written against. mu guards the map and
+  // engines on different threads can share one instance (production never
+  // does: a farm episode owns its cache). mu guards the map and
   // the counters; entries are immutable once published (first writer wins
   // on a double miss), so a reference handed out under the lock stays
   // valid and race-free afterwards — std::unordered_map never moves
@@ -72,39 +72,6 @@ std::size_t DecodeCache::misses() const {
 struct DecodeCacheAccess {
   static DecodeCache::Impl& impl(DecodeCache& c) { return *c.impl_; }
 };
-
-DecodeCacheShards::DecodeCacheShards(std::size_t shards) {
-  if (shards == 0) shards = 1;
-  shards_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s)
-    shards_.push_back(std::make_unique<DecodeCache>());
-}
-
-DecodeCache& DecodeCacheShards::shard(std::size_t worker) {
-  return *shards_[worker % shards_.size()];
-}
-const DecodeCache& DecodeCacheShards::shard(std::size_t worker) const {
-  return *shards_[worker % shards_.size()];
-}
-
-void DecodeCacheShards::clear() {
-  for (auto& s : shards_) s->clear();
-}
-std::size_t DecodeCacheShards::entries() const {
-  std::size_t n = 0;
-  for (const auto& s : shards_) n += s->size();
-  return n;
-}
-std::size_t DecodeCacheShards::hits() const {
-  std::size_t n = 0;
-  for (const auto& s : shards_) n += s->hits();
-  return n;
-}
-std::size_t DecodeCacheShards::misses() const {
-  std::size_t n = 0;
-  for (const auto& s : shards_) n += s->misses();
-  return n;
-}
 
 namespace {
 

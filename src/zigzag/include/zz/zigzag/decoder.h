@@ -68,30 +68,6 @@ class DecodeCache {
   std::unique_ptr<Impl> impl_;
 };
 
-/// A fixed set of independent DecodeCaches, one per pool worker. The cache
-/// itself is internally synchronized, so sharding is a contention (not a
-/// correctness) tool: the AP-farm keys a shard by the stable worker id of
-/// ThreadPool::parallel_for_sharded so steady-state lookups never contend
-/// on one mutex, while warm replay within a worker still hits. Aggregate
-/// accessors sum over shards (taking each shard's lock in turn — totals
-/// are exact only at quiescence, which is when the gates read them).
-class DecodeCacheShards {
- public:
-  explicit DecodeCacheShards(std::size_t shards);
-
-  std::size_t size() const { return shards_.size(); }
-  DecodeCache& shard(std::size_t worker);
-  const DecodeCache& shard(std::size_t worker) const;
-
-  void clear();                   ///< clears every shard
-  std::size_t entries() const;    ///< summed stored decodes
-  std::size_t hits() const;       ///< summed cache hits
-  std::size_t misses() const;     ///< summed cache misses
-
- private:
-  std::vector<std::unique_ptr<DecodeCache>> shards_;
-};
-
 /// How a decode pass orders the interference-free chunks it finds.
 enum class ChunkOrder {
   /// Walk the collisions in input order and decode every available run as
@@ -165,8 +141,8 @@ class ZigZagDecoder {
   /// DecodeCache) — results are bit-identical with or without it.
   /// `arena`, when given, supplies the engine's scratch buffers so their
   /// capacity survives across decode calls (the AP-farm hands each worker
-  /// one arena reused for every episode, making steady-state decodes
-  /// allocation-free). The arena is thread-confined and the engine uses
+  /// one arena reused for every episode, so warm decodes stop allocating
+  /// workspace). The arena is thread-confined and the engine uses
   /// fixed slot numbers, so one arena must never be inside two concurrent
   /// decode calls; sequential reuse — including across decoder instances —
   /// is the intended pattern. Results are bit-identical with or without it.

@@ -71,14 +71,13 @@ struct ReceiverOptions {
   /// Farm hooks (src/farm). When set, `shared_cache` replaces the
   /// receiver's internal per-reception chunk-decode memo: every decode —
   /// single, capture and joint — goes through it, and it is NOT cleared
-  /// between receptions, so warm episode replay hits across receive()
-  /// calls (cache use is bit-identical by the DecodeCache contract, so
-  /// outputs do not change). The owner bounds its memory and must not
-  /// share one cache shard between two receivers running concurrently
-  /// unless it accepts lock contention (the cache is internally
-  /// synchronized either way). `arena`, when set, supplies the decoder's
-  /// scratch buffers; it is thread-confined, so it must never be inside
-  /// two concurrent receive() calls. Both are borrowed, never owned.
+  /// between receptions, so chunks repeated across receive() calls hit
+  /// (cache use is bit-identical by the DecodeCache contract, so outputs
+  /// do not change). The farm hands each episode its own cache and drops
+  /// it with the episode; no production code shares one between threads.
+  /// `arena`, when set, supplies the decoder's scratch buffers; it is
+  /// thread-confined, so it must never be inside two concurrent receive()
+  /// calls. Both are borrowed, never owned.
   DecodeCache* shared_cache = nullptr;
   sig::ScratchArena* arena = nullptr;
 };

@@ -284,8 +284,9 @@ void ZigZagReceiver::remember(const CVec& rx, std::vector<Detection> dets) {
 }
 
 std::vector<Delivered> ZigZagReceiver::receive(const CVec& rx) {
-  // The internal memo is per-reception (bounds memory); an injected farm
-  // cache persists across receptions by design — its owner bounds it.
+  // The internal memo is per-reception (bounds memory); an injected cache
+  // persists across receptions by design — its owner (one farm episode)
+  // bounds it.
   if (!opt_.shared_cache) joint_cache_.clear();
   const CollisionDetector detector(opt_.detector);
   const auto dets = detector.detect(rx, clients_);

@@ -197,8 +197,8 @@ TEST(ThreadPoolSharded, EveryIndexRunsExactlyOnce) {
 
 TEST(ThreadPoolSharded, WorkerIdsNameExclusiveState) {
   // Per-worker state keyed by the queue id must never be entered by two
-  // threads at once — the contract the farm's arenas and cache shards
-  // rely on. Unsynchronized per-worker counters surface any violation as
+  // threads at once — the contract the farm's per-worker arenas rely
+  // on. Unsynchronized per-worker counters surface any violation as
   // a lost update (and as a TSan report on the sanitizer legs).
   ThreadPool pool(4);
   constexpr std::size_t kN = 2000;

@@ -1,11 +1,12 @@
 // Soak gates for the AP-farm (zz/farm/farm.h): the endless-stream shape.
 //
-// A farm soaking for hours must reach a steady state that (a) performs no
-// heap allocation per episode, (b) retains a bounded working set no matter
-// how many episodes have played, and (c) keeps its caches warm. These are
-// the gates bench/ap_farm --soak enforces in CI; here they are pinned as
-// tests with the allocation-counting hook (zz/common/alloc_hook.h) as the
-// measuring instrument.
+// Every farm episode runs the engine, so a farm soaking for hours must
+// reach a steady state that (a) allocates no more per run than its warmup
+// did and (b) retains a bounded working set no matter how many episodes —
+// repeated or fresh — have played. These are the gates bench/ap_farm
+// enforces in CI; here they are pinned as tests with the
+// allocation-counting hook (zz/common/alloc_hook.h) as the measuring
+// instrument.
 #include <gtest/gtest.h>
 
 #include "zz/common/alloc_hook.h"
@@ -31,28 +32,26 @@ std::vector<CellSpec> soak_farm() {
   return cells;
 }
 
-TEST(FarmSoak, SteadyStateEpisodesDoNotAllocate) {
-  // Soak mode: each cell cycles 2 distinct episode seeds with the episode
-  // memo on. The first run computes (and allocates — scenario engines,
-  // waveforms, decoder state); every later run must serve all episodes
-  // from the memo with ZERO operator-new calls inside episode processing,
+TEST(FarmSoak, SteadyStateAllocationsPlateau) {
+  // The first run warms the per-worker arenas; every later run replays the
+  // same seeds through the engine (scenario engines, waveforms and decoder
+  // state still allocate) but must allocate no more than the warmup did —
   // measured per episode by the allocation hook on the worker threads.
   FarmOptions opt;
   opt.seed = 51;
   opt.workers = 2;
-  opt.distinct_seeds = 2;
   ApFarm farm(soak_farm(), opt);
 
   const FarmResult warmup = farm.run(4);
   EXPECT_GT(warmup.episode_allocs, 0u);  // the engines really ran
-  EXPECT_GT(warmup.memo_misses, 0u);
 
   for (int round = 0; round < 3; ++round) {
     const FarmResult steady = farm.run(4);
-    EXPECT_EQ(steady.episode_allocs, 0u)
-        << "steady-state episode allocated (round " << round << ")";
-    EXPECT_EQ(steady.memo_hits, steady.episodes);
-    EXPECT_EQ(steady.memo_misses, 0u);
+    EXPECT_GT(steady.episode_allocs, 0u)
+        << "steady-state run skipped the engine (round " << round << ")";
+    EXPECT_LE(steady.episode_allocs, warmup.episode_allocs)
+        << "steady-state run allocated more than the warmup (round "
+        << round << ")";
     // Results stay bit-identical to the warmup's.
     ASSERT_EQ(steady.cells.size(), warmup.cells.size());
     for (std::size_t c = 0; c < steady.cells.size(); ++c) {
@@ -63,17 +62,16 @@ TEST(FarmSoak, SteadyStateEpisodesDoNotAllocate) {
 }
 
 TEST(FarmSoak, RetainedHeapIsBoundedAcrossRuns) {
-  // The farm's working set must plateau: after warmup, playing more
-  // steady-state episodes may not grow the net live heap (the memo and
-  // the per-worker shards/arenas are the only retained state, and they
-  // are warm). Net growth is measured with the hook's live-byte counter;
-  // a generous slack absorbs allocator-internal noise.
+  // The farm's working set must plateau: after warmup, replaying the
+  // same episodes may not grow the net live heap (the per-worker arenas
+  // are the only retained state, and they are warm). Net growth is
+  // measured with the hook's live-byte counter; a generous slack absorbs
+  // allocator-internal noise.
   FarmOptions opt;
   opt.seed = 52;
   opt.workers = 2;
-  opt.distinct_seeds = 2;
   ApFarm farm(soak_farm(), opt);
-  (void)farm.run(4);   // warmup: compute + memoize every distinct episode
+  (void)farm.run(4);   // warmup: grows the arenas
   (void)farm.run(4);   // first steady run settles transient capacity
   const std::int64_t plateau = live_heap_bytes();
   for (int round = 0; round < 3; ++round) (void)farm.run(4);
@@ -81,42 +79,23 @@ TEST(FarmSoak, RetainedHeapIsBoundedAcrossRuns) {
   EXPECT_LT(growth, 256 * 1024) << "steady-state runs keep retaining memory";
 }
 
-TEST(FarmSoak, DecodeCacheHitRateMonotoneNonDecreasing) {
-  // With the episode memo OFF but seed cycling ON, repeated runs re-play
-  // the same episodes through the engine; one worker means one decode
-  // cache shard, so every chunk fingerprint a replay produces is already
-  // stored. The cumulative hit rate must be non-decreasing run over run,
-  // and strictly higher after the first replay than after the cold run.
+TEST(FarmSoak, RetainedHeapDoesNotGrowWithFreshEpisodes) {
+  // An endless farm plays fresh seeds forever. run(4E) after run(E) plays
+  // the same first E episodes per cell again plus 3E never-seen ones;
+  // chunk fingerprints hash the samples, so nothing an earlier episode
+  // left behind can serve a fresh one, and the fresh episodes may retain
+  // nothing beyond the arenas' plateaued capacity.
+  constexpr std::size_t kEpisodes = 2;
   FarmOptions opt;
-  opt.seed = 53;
-  opt.workers = 1;
-  opt.distinct_seeds = 2;
-  opt.memoize_episodes = false;
+  opt.seed = 54;
+  opt.workers = 2;
   ApFarm farm(soak_farm(), opt);
-
-  const auto rate = [](const FarmResult& r) {
-    const std::uint64_t total = r.decode_cache_hits + r.decode_cache_misses;
-    return total ? static_cast<double>(r.decode_cache_hits) /
-                       static_cast<double>(total)
-                 : 0.0;
-  };
-
-  const FarmResult cold = farm.run(2);
-  EXPECT_GT(cold.decode_cache_misses, 0u);
-  EXPECT_EQ(cold.memo_hits, 0u);  // memo disabled: every episode executed
-  double last = rate(cold);
-  const std::uint64_t misses_after_cold = cold.decode_cache_misses;
-
-  for (int round = 0; round < 3; ++round) {
-    const FarmResult warm = farm.run(2);
-    const double r = rate(warm);
-    EXPECT_GE(r, last) << "hit rate regressed in round " << round;
-    last = r;
-    // A single shard replaying identical episodes never misses again.
-    EXPECT_EQ(warm.decode_cache_misses, misses_after_cold)
-        << "warm replay re-ran the black-box decoder (round " << round << ")";
-  }
-  EXPECT_GT(last, rate(cold));
+  (void)farm.run(kEpisodes);
+  const std::int64_t before = live_heap_bytes();
+  (void)farm.run(4 * kEpisodes);
+  const std::int64_t growth = live_heap_bytes() - before;
+  EXPECT_LT(growth, 256 * 1024)
+      << "fresh episodes left " << growth << " bytes retained";
 }
 
 }  // namespace

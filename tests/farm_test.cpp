@@ -2,7 +2,7 @@
 //
 // The contract under test is determinism at scale: a farm's merged result
 // is a pure function of (cells, seed, episodes) — the worker count, the
-// work-stealing schedule, the per-worker decode-cache shards and the
+// work-stealing schedule, the per-episode decode caches and the
 // episode-persistent arenas must all be invisible in the output. The pins
 // compare 1/2/4/8-worker farms bit for bit against each other and against
 // the serial run_cell reference, which is the definition of the
@@ -64,10 +64,18 @@ void expect_farms_eq(const FarmResult& a, const FarmResult& b) {
   EXPECT_EQ(a.collisions_resolved, b.collisions_resolved);
 }
 
+void expect_cache_counts_eq(const FarmResult& a, const FarmResult& b) {
+  EXPECT_EQ(a.decode_cache_hits, b.decode_cache_hits);
+  EXPECT_EQ(a.decode_cache_misses, b.decode_cache_misses);
+  EXPECT_EQ(a.decode_cache_entries, b.decode_cache_entries);
+}
+
 TEST(ApFarm, BitIdenticalAtAnyWorkerCount) {
   // The headline determinism pin: the same farm at 1, 2, 4 and 8 workers,
   // over several farm seeds. Identical results index-for-index — worker
-  // count only changes wall clock.
+  // count only changes wall clock. Each farm runs twice: the decode-cache
+  // counts are per-episode sums, so they too must match across worker
+  // counts and across the two runs (no cache outlives its episode).
   constexpr std::size_t kEpisodes = 2;
   for (const std::uint64_t seed : {11u, 12u, 13u}) {
     FarmOptions base;
@@ -76,13 +84,20 @@ TEST(ApFarm, BitIdenticalAtAnyWorkerCount) {
     ApFarm reference(small_farm(), base);
     const FarmResult ref = reference.run(kEpisodes);
     EXPECT_GT(ref.delivered, 0u) << "farm did nothing at seed " << seed;
+    EXPECT_GT(ref.decode_cache_misses, 0u);
+    expect_cache_counts_eq(reference.run(kEpisodes), ref);
 
     for (const std::size_t workers : {2u, 4u, 8u}) {
       FarmOptions opt = base;
       opt.workers = workers;
       ApFarm farm(small_farm(), opt);
       EXPECT_EQ(farm.workers(), workers);
-      expect_farms_eq(farm.run(kEpisodes), ref);
+      const FarmResult first = farm.run(kEpisodes);
+      expect_farms_eq(first, ref);
+      expect_cache_counts_eq(first, ref);
+      const FarmResult second = farm.run(kEpisodes);
+      expect_farms_eq(second, ref);
+      expect_cache_counts_eq(second, ref);
     }
   }
 }
@@ -132,31 +147,23 @@ TEST(ApFarm, MergeIsInCellOrder) {
   EXPECT_GT(res.cells[1].rounds, res.cells[0].rounds);
 }
 
-TEST(ApFarm, SoakMemoReplayIsBitIdenticalAndAllHits) {
-  // distinct_seeds cycles each cell through a fixed seed set; the second
-  // run() replays the same grid, so every episode must be served from the
-  // memo and the result must not change. The memoized result also equals
-  // the run_cell reference with the same cycling — the memo is invisible.
+TEST(ApFarm, RepeatedRunIsBitIdentical) {
+  // run() restarts episode numbering at 0, so a second run() on the same
+  // farm replays the same seeds through the engine — with warm arenas but
+  // fresh decode caches. Both runs equal the run_cell reference.
   const auto cells = small_farm();
   FarmOptions opt;
   opt.seed = 41;
   opt.workers = 4;
-  opt.distinct_seeds = 2;
   ApFarm farm(cells, opt);
   const FarmResult first = farm.run(4);
-  EXPECT_EQ(first.memo_hits + first.memo_misses, first.episodes);
-  // 4 episodes over 2 distinct seeds: at least half are replays (racing
-  // workers may duplicate a first computation, never a later one).
-  EXPECT_GE(first.memo_misses, cells.size() * 2u);
-
   const FarmResult second = farm.run(4);
   expect_farms_eq(second, first);
-  EXPECT_EQ(second.memo_hits, second.episodes);
-  EXPECT_EQ(second.memo_misses, 0u);
+  expect_cache_counts_eq(second, first);
+  EXPECT_EQ(second.episodes, cells.size() * 4u);
 
   for (std::size_t c = 0; c < cells.size(); ++c)
-    expect_cells_eq(first.cells[c],
-                    run_cell(cells[c], c, opt.seed, 4, opt.distinct_seeds));
+    expect_cells_eq(first.cells[c], run_cell(cells[c], c, opt.seed, 4));
 }
 
 TEST(ApFarm, RejectsInvalidFarms) {

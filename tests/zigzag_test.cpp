@@ -948,19 +948,19 @@ TEST(DecodeCacheStress, ConcurrentSharedCacheIsRaceFreeAndBitIdentical) {
   EXPECT_EQ(cache.misses(), misses_before);
 }
 
-TEST(DecodeCacheStress, FarmShardsPerWorkerWarmReplayAndBitIdentical) {
-  // The farm shape (src/farm): episodes from many cells fan out over
-  // ThreadPool::parallel_for_sharded, and each stable worker id owns one
-  // DecodeCacheShards shard plus one thread-confined ScratchArena, reused
-  // across every episode that lands on that worker. Scheduling decides
-  // which worker (and so which shard/arena) an episode hits, yet results
-  // must be bit-identical to the uncached, arena-less reference — and a
-  // second (warm) sweep must replay without a single new miss, because a
-  // worker's shard already holds every fingerprint its cells produce only
-  // when fingerprints are placement-independent. Run under TSan this also
-  // pins that shard + arena handoff across pool batches is race-free.
+TEST(DecodeCacheStress, PerTaskCachePerWorkerArenaBitIdentical) {
+  // The farm shape (src/farm): tasks from many cells fan out over
+  // ThreadPool::parallel_for_sharded; each task owns one DecodeCache, and
+  // each stable worker id owns one thread-confined ScratchArena reused
+  // across every task that lands on that worker, batch after batch.
+  // Scheduling decides which arena a task borrows, yet results must be
+  // bit-identical to the uncached, arena-less reference in every sweep,
+  // and a task's cache counts cannot depend on placement. Run under TSan
+  // this also pins that the arena hand-off across pool batches is
+  // race-free.
   constexpr std::size_t kCells = 6;
   constexpr std::size_t kWorkers = 4;
+  constexpr int kSweeps = 3;
 
   struct Cell {
     PairScenario s;
@@ -982,62 +982,27 @@ TEST(DecodeCacheStress, FarmShardsPerWorkerWarmReplayAndBitIdentical) {
   }
 
   ThreadPool pool(kWorkers);
-  DecodeCacheShards shards(pool.size());
   std::vector<sig::ScratchArena> arenas(pool.size());
+  std::vector<std::size_t> first_misses(kCells, 0);
 
-  const auto sweep = [&](std::vector<DecodeResult>& out) {
-    out.assign(kCells, {});
+  for (int sweep = 0; sweep < kSweeps; ++sweep) {
+    std::vector<DecodeResult> out(kCells);
+    std::vector<std::size_t> misses(kCells, 0);
     pool.parallel_for_sharded(kCells, [&](std::size_t i, std::size_t w) {
+      DecodeCache cache;
       const ZigZagDecoder local;
       out[i] = local.decode({cells[i].inputs.data(), 2}, cells[i].s.profiles,
-                            2, &shards.shard(w), &arenas[w]);
+                            2, &cache, &arenas[w]);
+      misses[i] = cache.misses();
     });
-  };
-
-  std::vector<DecodeResult> cold, warm;
-  sweep(cold);
-  const std::size_t misses_cold = shards.misses();
-  EXPECT_GT(misses_cold, 0u);
-  EXPECT_EQ(shards.entries(), misses_cold);  // no cross-shard dedup
-
-  sweep(warm);
-  // Scheduling may move a cell to a worker whose shard has not seen it, so
-  // the warm sweep can still miss — but never more than a cold sweep's
-  // worth, and every result stays bit-identical.
-  EXPECT_LE(shards.misses(), 2 * misses_cold);
-  for (std::size_t i = 0; i < kCells; ++i) {
-    expect_identical_results(cold[i], cells[i].reference);
-    expect_identical_results(warm[i], cells[i].reference);
+    for (std::size_t i = 0; i < kCells; ++i) {
+      expect_identical_results(out[i], cells[i].reference);
+      EXPECT_GT(misses[i], 0u);
+      if (sweep == 0) first_misses[i] = misses[i];
+      EXPECT_EQ(misses[i], first_misses[i])
+          << "cell " << i << " sweep " << sweep;
+    }
   }
-
-  // Pin the shard-affinity guarantee the farm actually relies on: with the
-  // cell → worker assignment fixed (cell i on shard i % workers, each on
-  // one thread via the pool), a third sweep over warm shards must not miss
-  // at all.
-  const std::size_t misses_before = shards.misses();
-  std::vector<DecodeResult> pinned(kCells);
-  pool.parallel_for_sharded(pool.size(), [&](std::size_t w, std::size_t) {
-    const ZigZagDecoder local;
-    for (std::size_t i = w; i < kCells; i += pool.size())
-      pinned[i] = local.decode({cells[i].inputs.data(), 2},
-                               cells[i].s.profiles, 2, &shards.shard(w),
-                               &arenas[w]);
-  });
-  // The pinned sweep may still populate shards that never saw a given cell;
-  // run it twice so the second pass is provably all-hits.
-  (void)misses_before;
-  const std::size_t misses_pinned = shards.misses();
-  pool.parallel_for_sharded(pool.size(), [&](std::size_t w, std::size_t) {
-    const ZigZagDecoder local;
-    for (std::size_t i = w; i < kCells; i += pool.size())
-      pinned[i] = local.decode({cells[i].inputs.data(), 2},
-                               cells[i].s.profiles, 2, &shards.shard(w),
-                               &arenas[w]);
-  });
-  EXPECT_EQ(shards.misses(), misses_pinned)
-      << "warm pinned replay re-ran the black-box decoder";
-  for (std::size_t i = 0; i < kCells; ++i)
-    expect_identical_results(pinned[i], cells[i].reference);
 }
 
 TEST(Decoder, QpskCollisionsDecode) {

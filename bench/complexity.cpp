@@ -2,20 +2,24 @@
 // google-benchmark timings of the decoder vs number of senders and packet
 // size; the per-sender cost should grow roughly linearly. Per-kernel
 // microbenches follow the end-to-end ones: the FFT, §4.2.1 preamble
-// correlation, §4.2.2 packet matching, the §4.2.3(a) chunk decoder and the
-// §4.2.3(b) image path (chunk render, block interpolation).
+// correlation, §4.2.2 packet matching, the §4.2.3(a) chunk decoder, the
+// §4.2.3(b) image path (chunk render, block interpolation), and the §4.5 /
+// "Collision Helps" chunk planner on Fig 4-7 patterns.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 
 #include "bench_util.h"
 #include "zz/chan/channel.h"
+#include "zz/mac/offsets.h"
 #include "zz/phy/preamble.h"
 #include "zz/phy/tracker.h"
 #include "zz/signal/correlate.h"
 #include "zz/signal/fft.h"
 #include "zz/signal/interp.h"
+#include "zz/zigzag/equation_system.h"
 #include "zz/zigzag/matcher.h"
+#include "zz/zigzag/scheduler.h"
 
 using namespace zz;
 
@@ -236,6 +240,58 @@ void BM_AtBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 
+// A fixed, seeded set of Fig 4-7(a)-shaped patterns for arg n senders:
+// n collisions of n 120-symbol packets, each sender at a random slot of a
+// cw = 8 window (10-symbol slots), the earliest at time zero.
+std::vector<zigzag::Pattern> fig_4_7_patterns(std::size_t n) {
+  mac::OffsetSimConfig cfg;
+  cfg.cw = 8;
+  Rng rng(57 + n);
+  std::vector<zigzag::Pattern> out(64);
+  for (auto& pattern : out) {
+    pattern.lengths.assign(n, cfg.packet_symbols);
+    for (std::size_t c = 0; c < n; ++c) {
+      std::vector<zigzag::Pattern::Placement> coll(n);
+      for (std::size_t i = 0; i < n; ++i)
+        coll[i] = {i, rng.uniform_int(0, cfg.cw) *
+                          static_cast<std::ptrdiff_t>(cfg.slot_symbols)};
+      const auto first = std::min_element(
+          coll.begin(), coll.end(),
+          [](const auto& a, const auto& b) { return a.offset < b.offset; });
+      const std::ptrdiff_t base = first->offset;
+      for (auto& pl : coll) pl.offset -= base;
+      pattern.collisions.push_back(std::move(coll));
+    }
+  }
+  return out;
+}
+
+// greedy_schedule over the pattern set; time per pattern.
+void BM_GreedySchedule(benchmark::State& state) {
+  const auto patterns =
+      fig_4_7_patterns(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state)
+    for (const auto& p : patterns) {
+      auto res = zigzag::greedy_schedule(p);
+      benchmark::DoNotOptimize(res);
+    }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(patterns.size()));
+}
+
+// message_passing_plan over the same pattern set; time per pattern.
+void BM_MessagePassingPlan(benchmark::State& state) {
+  const auto patterns =
+      fig_4_7_patterns(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state)
+    for (const auto& p : patterns) {
+      auto plan = zigzag::message_passing_plan(p);
+      benchmark::DoNotOptimize(plan);
+    }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(patterns.size()));
+}
+
 }  // namespace
 
 BENCHMARK(BM_DecodeVsSenders)->Arg(1)->Arg(2)->Arg(3)->Unit(benchmark::kMillisecond);
@@ -250,4 +306,6 @@ BENCHMARK(BM_Render)
     ->ArgsProduct({{0, 1}, {80, 200}})
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_AtBatch)->ArgName("drift")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_GreedySchedule)->DenseRange(2, 9)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MessagePassingPlan)->DenseRange(2, 9)->Unit(benchmark::kMicrosecond);
 BENCHMARK_MAIN();

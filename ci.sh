@@ -208,7 +208,7 @@ test -s build/BENCH_decoder.json
 # Timings are printed, not gated. The target needs Google Benchmark; without
 # it CMake skips the target and this step with it.
 if [[ -x build/bench/complexity ]]; then
-  ./build/bench/complexity --benchmark_filter='Render|AtBatch|Fft|Correlate|MatchScore|ChunkDecode' \
+  ./build/bench/complexity --benchmark_filter='Render|AtBatch|Fft|Correlate|MatchScore|ChunkDecode|Schedule|Plan' \
     --benchmark_min_time=0.01
 else
   echo "ci.sh: Google Benchmark not found — skipping the complexity smoke"

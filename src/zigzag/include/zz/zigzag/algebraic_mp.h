@@ -45,7 +45,9 @@ struct AlgebraicMpOptions {
 /// CollisionInput geometry, same DecodeResult. `packet_syms` pins the
 /// believed per-packet symbol count (the LoggedJoint engine knows it from
 /// the frame layout); 0 infers an upper bound from buffer room exactly like
-/// the zigzag decoder does.
+/// the zigzag decoder does. decode() throws std::invalid_argument on null
+/// samples, a placement out of range, or a packet placed twice in one
+/// collision.
 class AlgebraicMpDecoder {
  public:
   explicit AlgebraicMpDecoder(AlgebraicMpOptions opt = {},

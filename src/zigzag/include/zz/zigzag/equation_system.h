@@ -2,11 +2,10 @@
 // "Collision Helps" view (arXiv:1001.1948) of the same geometry the §4.5
 // greedy scheduler walks.
 //
-// Each logged collision is one linear equation over the packets it carries:
-// partitioned at every packet start/end boundary, it becomes a set of
-// *chunk equations*, each relating the symbol chunks that overlap one
-// segment of the collision timeline. Recovery is then message passing on
-// the bipartite chunk/equation graph:
+// Each logged collision is one linear equation over the packets it carries;
+// packet starts and ends cut it into chunk equations, each relating the
+// symbol chunks that overlap one segment of the collision timeline.
+// Recovery is message passing on the bipartite chunk/equation graph:
 //
 //   * Peel: a degree-1 segment (one unknown chunk) is solved directly and
 //     its value substituted — back-propagated — into every other equation.
@@ -21,8 +20,10 @@
 //
 // Like zz/zigzag/scheduler.h this module is pure geometry: it plans, the
 // waveform executor (zz/zigzag/algebraic_mp.h) carries the plan out on real
-// samples. Equations are visited best-conditioned-first via
-// order_equations, sharing the §4.5 conditioning helpers.
+// samples. The plan comes from the same interval-based chunk planner as
+// greedy_schedule — its peel rounds are the greedy rounds with equations
+// visited best-conditioned-first (order_equations), plus an elimination
+// whenever a round stalls.
 #pragma once
 
 #include <cstddef>
@@ -31,32 +32,6 @@
 #include "zz/zigzag/scheduler.h"
 
 namespace zz::zigzag {
-
-/// One packet's symbol range inside a chunk equation.
-struct ChunkTerm {
-  std::size_t packet = 0;
-  std::size_t k0 = 0, k1 = 0;  ///< symbol range of `packet` in this segment
-};
-
-/// One segment of one collision's symbol timeline: the received samples over
-/// [t0, t1) are a known linear combination of the listed packet chunks.
-struct ChunkEquation {
-  std::size_t collision = 0;
-  std::ptrdiff_t t0 = 0, t1 = 0;  ///< collision symbol-time span
-  std::vector<ChunkTerm> terms;
-  std::size_t degree() const { return terms.size(); }
-};
-
-/// Partition every collision of `pattern` at packet start/end boundaries.
-/// Segments with no packet (gaps) are dropped. Throws std::invalid_argument
-/// on a placement referencing a missing packet.
-///
-/// This is the inspection/analysis view of the equation system ("what are
-/// the equations, and of what degree?") — the static partition before any
-/// solving. message_passing_plan below operates on the same Pattern
-/// geometry directly, because peeling changes equation degrees as chunks
-/// resolve and a static partition cannot express that evolution.
-std::vector<ChunkEquation> chunk_equations(const Pattern& pattern);
 
 /// One solve action of the message-passing plan.
 struct MpStep {
@@ -86,7 +61,8 @@ struct MpPlan {
 /// order_equations (best-conditioned-first) order; `guard` is the symbol
 /// separation a peelable symbol needs from unknown symbols of other packets
 /// (pulse tails — same meaning as greedy_schedule's guard). Elimination
-/// steps are emitted only when a peel round makes no progress.
+/// steps are emitted only when a peel round makes no progress. Throws
+/// std::invalid_argument on an invalid pattern (see greedy_schedule).
 MpPlan message_passing_plan(const Pattern& pattern, std::size_t guard = 0);
 
 }  // namespace zz::zigzag

@@ -11,6 +11,13 @@
 // decodable, and in what order?" — the question behind Fig 4-7's failure
 // probability curves and Assertion 4.5.1. The waveform decoder
 // (zz::zigzag::ZigZagDecoder) applies the same greedy rule to real samples.
+//
+// Packet starts and ends bound the chunks (§4.3), so the planner keeps each
+// packet's unknown symbols as a list of intervals. A chunk is decodable
+// when it lies outside every unknown interval of the other packets in its
+// collision, dilated by the guard; each step solves one maximal such run.
+// The same planner, visiting equations best-conditioned-first and adding
+// 2x2 eliminations, makes message_passing_plan (zz/zigzag/equation_system.h).
 #pragma once
 
 #include <cstddef>
@@ -50,7 +57,9 @@ struct ScheduleResult {
 /// Run the §4.5 greedy algorithm. `guard` is the number of symbols of
 /// separation a decodable symbol needs from any *unknown* symbol of another
 /// packet (0 reproduces the paper's idealized chunk model; the waveform
-/// engine uses a small guard for pulse tails).
+/// engine uses a small guard for pulse tails). Throws std::invalid_argument
+/// if a placement names a missing packet or a collision places the same
+/// packet twice.
 ScheduleResult greedy_schedule(const Pattern& pattern, std::size_t guard = 0);
 
 /// The feasibility condition of §4.5 / Assertion 4.5.1: for every pair of

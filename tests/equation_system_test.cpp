@@ -1,11 +1,12 @@
-// Tests for the "Collision Helps" equation-system layer: chunk-equation
-// partitioning and the message-passing plan (zz/zigzag/equation_system.h),
-// plus the waveform executor (zz/zigzag/algebraic_mp.h) on synthesized
-// collisions — including the equal-offset pattern that pure zigzag cannot
-// decode (Assertion 4.5.1) but 2x2 Gaussian elimination can.
+// Tests for the "Collision Helps" equation-system layer: the message-passing
+// plan (zz/zigzag/equation_system.h), plus the waveform executor
+// (zz/zigzag/algebraic_mp.h) on synthesized collisions — including the
+// equal-offset pattern that pure zigzag cannot decode (Assertion 4.5.1) but
+// 2x2 Gaussian elimination can.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "zz/chan/channel.h"
 #include "zz/common/mathutil.h"
@@ -20,56 +21,6 @@
 
 namespace zz::zigzag {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Chunk equations (geometry).
-// ---------------------------------------------------------------------------
-
-TEST(ChunkEquations, PairCollisionPartitions) {
-  Pattern p;
-  p.lengths = {100, 100};
-  p.collisions = {{{0, 0}, {1, 30}}};
-  const auto eqs = chunk_equations(p);
-  // Segments: [0,30) deg-1, [30,100) deg-2, [100,130) deg-1.
-  ASSERT_EQ(eqs.size(), 3u);
-  EXPECT_EQ(eqs[0].degree(), 1u);
-  EXPECT_EQ(eqs[0].t0, 0);
-  EXPECT_EQ(eqs[0].t1, 30);
-  EXPECT_EQ(eqs[0].terms[0].packet, 0u);
-  EXPECT_EQ(eqs[1].degree(), 2u);
-  EXPECT_EQ(eqs[1].t0, 30);
-  EXPECT_EQ(eqs[1].t1, 100);
-  EXPECT_EQ(eqs[2].degree(), 1u);
-  EXPECT_EQ(eqs[2].terms[0].packet, 1u);
-  EXPECT_EQ(eqs[2].terms[0].k0, 70u);
-  EXPECT_EQ(eqs[2].terms[0].k1, 100u);
-}
-
-TEST(ChunkEquations, FullyOverlappedPairIsOneEquation) {
-  Pattern p;
-  p.lengths = {80, 80};
-  p.collisions = {{{0, 0}, {1, 0}}};
-  const auto eqs = chunk_equations(p);
-  ASSERT_EQ(eqs.size(), 1u);
-  EXPECT_EQ(eqs[0].degree(), 2u);
-}
-
-TEST(ChunkEquations, ThreeWayBoundaries) {
-  Pattern p;
-  p.lengths = {100, 100, 100};
-  p.collisions = {{{0, 0}, {1, 20}, {2, 50}}};
-  const auto eqs = chunk_equations(p);
-  // Cuts at 0,20,50,100,120,150 -> five populated segments.
-  ASSERT_EQ(eqs.size(), 5u);
-  EXPECT_EQ(eqs[2].degree(), 3u);  // [50,100): all three packets
-}
-
-TEST(ChunkEquations, RejectsBadPlacement) {
-  Pattern p;
-  p.lengths = {10};
-  p.collisions = {{{3, 0}}};
-  EXPECT_THROW((void)chunk_equations(p), std::invalid_argument);
-}
 
 // ---------------------------------------------------------------------------
 // Message-passing plan.
@@ -297,6 +248,17 @@ TEST(AlgebraicMpDecoder, RejectsNullSamples) {
   CollisionInput in;
   const AlgebraicMpDecoder dec;
   EXPECT_THROW((void)dec.decode({&in, 1}, {}, 1), std::invalid_argument);
+}
+
+TEST(AlgebraicMpDecoder, RejectsDuplicatePlacement) {
+  // Caller placements become the plan's pattern; the same packet placed
+  // twice in one collision is rejected like an out-of-range one.
+  Rng rng(5);
+  auto s = make_pair(rng, 60, 20.0, 80, 240);
+  s.in1.placements.push_back(s.in1.placements.front());
+  const CollisionInput ins[] = {s.in1, s.in2};
+  const AlgebraicMpDecoder dec;
+  EXPECT_THROW((void)dec.decode({ins, 2}, s.profiles, 2), std::invalid_argument);
 }
 
 TEST(AlgebraicMpDecoder, EmptyInputsReturnEmpty) {

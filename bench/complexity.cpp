@@ -197,17 +197,28 @@ double bench_drift(const benchmark::State& state) {
 }
 
 // chan::add_signal over one whole frame: the image render of §4.2.3(b).
+// Arg isi 1 keeps make_party's 0.15-echo ISI channel, which the render
+// filters the symbols through first (the simulator's shape); isi 0 renders
+// through the identity filter, as every receiver-side render does (the
+// decoder applies its ISI estimate when it builds the symbols). Arg deriv 1
+// renders add_signal_derivative, the timing tracker's image.
 void BM_Render(benchmark::State& state) {
   Rng rng(55);
   const auto p = bench::make_party(
-      rng, 1, 5, static_cast<std::size_t>(state.range(1)), 12.0);
+      rng, 1, 5, static_cast<std::size_t>(state.range(3)), 12.0);
   chan::ChannelParams ch = p.channel;
   ch.drift = bench_drift(state);
+  if (state.range(1) == 0) ch.isi = sig::Fir();
+  const bool derivative = state.range(2) != 0;
   const CVec& sym = p.frame.symbols;
   CVec buf(2 * sym.size() + 128, cplx{0.0, 0.0});
   for (auto _ : state) {
-    chan::add_signal(buf, 32, sym, ch);
+    if (derivative)
+      chan::add_signal_derivative(buf, 32, sym, ch);
+    else
+      chan::add_signal(buf, 32, sym, ch);
     benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(sym.size()));
@@ -302,8 +313,8 @@ BENCHMARK(BM_Correlate)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_MatchScore)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ChunkDecode)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Render)
-    ->ArgNames({"drift", "bytes"})
-    ->ArgsProduct({{0, 1}, {80, 200}})
+    ->ArgNames({"drift", "isi", "deriv", "bytes"})
+    ->ArgsProduct({{0, 1}, {0, 1}, {0, 1}, {80, 200}})
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_AtBatch)->ArgName("drift")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_GreedySchedule)->DenseRange(2, 9)->Unit(benchmark::kMicrosecond);

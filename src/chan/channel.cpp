@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "zz/common/check.h"
 #include "zz/common/mathutil.h"
 
 #if defined(__SSE2__)
@@ -28,12 +29,16 @@ namespace {
 // of equally spaced arguments per symbol, so the two trigonometric factors
 // are advanced by fixed-angle rotors instead of per-tap sin/cos — the
 // baseband synthesis hot path spends its time on multiply-adds only.
-// Symbols are rendered in GROUPS (pairs on baseline SSE2, quads when the
-// CPU has AVX2) whose tap runs pack into SIMD lanes: packed IEEE
-// add/mul/div are bit-exact per lane and the branches become bitwise
-// selects of fully computed lanes, so the samples are bit-for-bit identical
-// to the scalar one-symbol-at-a-time loop (kept as the portable fallback
-// and tail path). No FMA contraction is used on any path.
+// Tap weights are computed in GROUPS of symbols (pairs on baseline SSE2,
+// quads when the CPU has AVX2) whose tap runs pack into SIMD lanes: packed
+// IEEE add/mul/div are bit-exact per lane and the branches become bitwise
+// selects of fully computed lanes, so the weights are bit-for-bit those of
+// the scalar one-symbol-at-a-time loop (the tail path). The weights go
+// straight into zero-padded slots that the output gather reads: each block
+// of kBlock output samples sums the symbols covering it in ascending k, in
+// AVX2 or portable lanes, and applies scale·ĥ·rotor in the same pass
+// (channel.h gives the exactness argument). No FMA contraction is used on
+// any path.
 
 struct PulseTrig {
   double sin_u, cos_u;  ///< sin/cos(π·x/kSps)
@@ -326,13 +331,184 @@ bool cpu_has_avx2() {
 }
 #endif
 
-/// 0 = CPU dispatch; 1/2/4 = forced cap (see set_render_group_width_for_test).
+/// 0 = CPU dispatch; n > 0 caps the group width (see
+/// set_render_group_width_for_test).
 int g_render_group_width_override = 0;
+
+/// Output samples per gather block: the accumulators of one block are
+/// kBlock complex lanes, and a symbol's weight slot carries kBlock zeros on
+/// each side of its tap run so the AVX2 gather can read all of a block's
+/// lanes from any run that overlaps it.
+constexpr std::ptrdiff_t kBlock = 16;
+
+/// One symbol's tap run as the gather reads it: samples [lo, end) take
+/// (re, im)·w[m - lo]. `finite` is false for an Inf/NaN symbol value, whose
+/// lanes outside the run must not see the zero pads (Inf·0 = NaN): the AVX2
+/// gather adds only its exact lanes.
+struct Run {
+  std::ptrdiff_t lo = 0, end = 0;
+  double re = 0.0, im = 0.0;
+  const double* w = nullptr;
+  bool finite = true;
+};
+
+/// The live runs of one render: ring[head..tail), in ascending k.
+struct RunRing {
+  const Run* ring;
+  std::size_t mask, head, tail;
+};
+
+/// Where a block's samples go: buf[offset + m] += sh·v[m]·rot[m] with
+/// sh = scale·ĥ, for every m with |v[m]|² ≥ 1e-24 that lands inside buf.
+struct Sink {
+  cplx* buf;
+  std::ptrdiff_t size;
+  std::ptrdiff_t offset;
+  cplx sh;
+};
+
+/// Run r's exact lanes of the block at b, added into the accumulators.
+__attribute__((always_inline)) inline void add_run_lanes(const Run& r,
+                                                         std::ptrdiff_t b,
+                                                         double* ar,
+                                                         double* ai) {
+  const std::ptrdiff_t o = b - r.lo;
+  const std::ptrdiff_t j0 = std::max<std::ptrdiff_t>(0, -o);
+  const std::ptrdiff_t j1 = std::min(kBlock, r.end - b);
+  for (std::ptrdiff_t j = j0; j < j1; ++j) {
+    ar[j] += r.re * r.w[o + j];
+    ai[j] += r.im * r.w[o + j];
+  }
+}
+
+/// The per-sample output expression for the first n lanes at sample b.
+__attribute__((always_inline)) inline void emit_lanes(
+    const Sink& s, std::ptrdiff_t b, std::ptrdiff_t n, const double* ar,
+    const double* ai, const double* rr, const double* ri) {
+  for (std::ptrdiff_t j = 0; j < n; ++j) {
+    const cplx v{ar[j], ai[j]};
+    if (std::norm(v) >= 1e-24) {
+      const std::ptrdiff_t out = s.offset + b + j;
+      if (out >= 0 && out < s.size)
+        s.buf[out] += s.sh * v * cplx{rr[j], ri[j]};
+    }
+  }
+}
+
+/// Portable gather: each run adds its exact lanes, in ascending k, then the
+/// block goes out through the per-sample expression. Plain loops the
+/// compiler may vectorize — every lane is its own sum, so that is exact.
+void block_portable(const RunRing& rs, std::ptrdiff_t b, std::ptrdiff_t n,
+                    const Sink& s, const double* rr, const double* ri) {
+  double ar[kBlock] = {}, ai[kBlock] = {};
+  for (std::size_t i = rs.head; i != rs.tail; ++i)
+    add_run_lanes(rs.ring[i & rs.mask], b, ar, ai);
+  emit_lanes(s, b, n, ar, ai, rr, ri);
+}
+
+#if defined(ZZ_CHAN_AVX2_DISPATCH)
+/// AVX2 gather: the same sums with the block's 16 lanes in eight ymm
+/// accumulators, and the output product sh·v·rot computed four lanes at a
+/// time with the exact operations of the scalar complex multiply. A quad
+/// whose product holds a NaN — where the scalar multiply would take its
+/// C99 Annex G recovery route — and partial blocks go out per sample.
+__attribute__((target("avx2"))) void block_avx2(const RunRing& rs,
+                                                std::ptrdiff_t b,
+                                                std::ptrdiff_t n,
+                                                const Sink& s,
+                                                const double* rr,
+                                                const double* ri) {
+  __m256d ar[4], ai[4];
+  for (int q = 0; q < 4; ++q) ar[q] = ai[q] = _mm256_setzero_pd();
+  for (std::size_t i = rs.head; i != rs.tail; ++i) {
+    const Run& r = rs.ring[i & rs.mask];
+    if (__builtin_expect(r.finite, 1)) {
+      const double* w = r.w + (b - r.lo);
+      const __m256d vr = _mm256_set1_pd(r.re), vi = _mm256_set1_pd(r.im);
+      for (int q = 0; q < 4; ++q) {
+        const __m256d wq = _mm256_loadu_pd(w + 4 * q);
+        ar[q] = _mm256_add_pd(ar[q], _mm256_mul_pd(vr, wq));
+        ai[q] = _mm256_add_pd(ai[q], _mm256_mul_pd(vi, wq));
+      }
+    } else {
+      alignas(32) double sr[kBlock] = {}, si[kBlock] = {};
+      for (int q = 0; q < 4; ++q) {
+        _mm256_store_pd(sr + 4 * q, ar[q]);
+        _mm256_store_pd(si + 4 * q, ai[q]);
+      }
+      add_run_lanes(r, b, sr, si);
+      for (int q = 0; q < 4; ++q) {
+        ar[q] = _mm256_load_pd(sr + 4 * q);
+        ai[q] = _mm256_load_pd(si + 4 * q);
+      }
+    }
+  }
+  const std::ptrdiff_t out0 = s.offset + b;
+  if (n < kBlock || out0 < 0 || out0 > s.size - kBlock) {
+    alignas(32) double sr[kBlock] = {}, si[kBlock] = {};
+    for (int q = 0; q < 4; ++q) {
+      _mm256_store_pd(sr + 4 * q, ar[q]);
+      _mm256_store_pd(si + 4 * q, ai[q]);
+    }
+    emit_lanes(s, b, n, sr, si, rr, ri);
+    return;
+  }
+  const __m256d shr = _mm256_set1_pd(s.sh.real());
+  const __m256d shi = _mm256_set1_pd(s.sh.imag());
+  const __m256d thr = _mm256_set1_pd(1e-24);
+  double* dst = reinterpret_cast<double*>(s.buf + out0);
+  for (int q = 0; q < 4; ++q) {
+    const __m256d vr = ar[q], vi = ai[q];
+    const __m256d ok = _mm256_cmp_pd(
+        _mm256_add_pd(_mm256_mul_pd(vr, vr), _mm256_mul_pd(vi, vi)), thr,
+        _CMP_GE_OQ);
+    if (_mm256_movemask_pd(ok) == 0) continue;
+    // (sh·v)·rot, each as (a·c - b·d, a·d + b·c).
+    const __m256d tr =
+        _mm256_sub_pd(_mm256_mul_pd(shr, vr), _mm256_mul_pd(shi, vi));
+    const __m256d ti =
+        _mm256_add_pd(_mm256_mul_pd(shr, vi), _mm256_mul_pd(shi, vr));
+    const __m256d cr = _mm256_loadu_pd(rr + 4 * q);
+    const __m256d ci = _mm256_loadu_pd(ri + 4 * q);
+    const __m256d pr =
+        _mm256_sub_pd(_mm256_mul_pd(tr, cr), _mm256_mul_pd(ti, ci));
+    const __m256d pi =
+        _mm256_add_pd(_mm256_mul_pd(tr, ci), _mm256_mul_pd(ti, cr));
+    if (_mm256_movemask_pd(
+            _mm256_and_pd(ok, _mm256_cmp_pd(pr, pi, _CMP_UNORD_Q))) != 0) {
+      alignas(32) double sr[4] = {}, si[4] = {};
+      _mm256_store_pd(sr, vr);
+      _mm256_store_pd(si, vi);
+      emit_lanes(s, b + 4 * q, 4, sr, si, rr + 4 * q, ri + 4 * q);
+      continue;
+    }
+    // Interleave to buf's (re, im) pairs; lanes below the floor keep buf.
+    const __m256d lo = _mm256_unpacklo_pd(pr, pi);
+    const __m256d hi = _mm256_unpackhi_pd(pr, pi);
+    const __m256d mlo = _mm256_unpacklo_pd(ok, ok);
+    const __m256d mhi = _mm256_unpackhi_pd(ok, ok);
+    double* d = dst + 8 * q;
+    const __m256d b0 = _mm256_loadu_pd(d);
+    const __m256d b1 = _mm256_loadu_pd(d + 4);
+    _mm256_storeu_pd(
+        d, _mm256_blendv_pd(
+               b0, _mm256_add_pd(b0, _mm256_permute2f128_pd(lo, hi, 0x20)),
+               _mm256_permute2f128_pd(mlo, mhi, 0x20)));
+    _mm256_storeu_pd(
+        d + 4,
+        _mm256_blendv_pd(
+            b1, _mm256_add_pd(b1, _mm256_permute2f128_pd(lo, hi, 0x31)),
+            _mm256_permute2f128_pd(mlo, mhi, 0x31)));
+  }
+}
+#endif
 
 template <typename Kernel>
 void render(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
             const ChannelParams& p, double scale, std::size_t hw_symbols) {
   if (symbols.empty()) return;
+  // Symbol times must not decrease with k (see channel.h).
+  ZZ_CHECK(!(p.drift < -1.0)) << " drift " << p.drift;
   const double hw = static_cast<double>(hw_symbols) * kSps;
   CVec isi_tmp;
   const CVec& u = p.isi.is_identity()
@@ -340,9 +516,8 @@ void render(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
                       : (isi_tmp = p.isi.apply(symbols), isi_tmp);
 
   // ZigZag renders sparse chunk images (zeros outside the chunk); find the
-  // populated symbol range so the accumulation buffer — and every loop
-  // below — spans only the samples those symbols can reach, not the whole
-  // packet.
+  // populated symbol range so the output window — and every loop below —
+  // spans only the samples those symbols can reach, not the whole packet.
   std::size_t k0 = 0;
   while (k0 < u.size() && std::norm(u[k0]) < 1e-24) ++k0;
   if (k0 == u.size()) return;
@@ -362,42 +537,10 @@ void render(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
       rel_len, static_cast<std::ptrdiff_t>(std::floor(t_last + hw)) + 1);
   if (mend <= mbase) return;
 
-  // Accumulate band-limited contributions in window-relative coordinates,
-  // then rotate/scale once per output sample.
-  thread_local CVec v;
-  v.assign(static_cast<std::size_t>(mend - mbase), cplx{0.0, 0.0});
-
   const double du = kPi / kSps;   // per-sample phase step of the sinc factor
   const double dwv = kPi / hw;    // per-sample phase step of the Hann factor
   const double cdu = std::cos(du), sdu = std::sin(du);
   const double cdw = std::cos(dwv), sdw = std::sin(dwv);
-
-  // Weight lanes for one group of symbols: the (real) kernel weights are
-  // computed first, then accumulated into the (complex) buffer in symbol
-  // order — the same arithmetic in the same order as a fused loop.
-  const auto max_taps = static_cast<std::size_t>(2.0 * hw) + 2;
-  thread_local std::vector<double> wgt_scratch;
-  if (wgt_scratch.size() < 4 * max_taps) wgt_scratch.resize(4 * max_taps);
-  double* lanes[4] = {wgt_scratch.data(), wgt_scratch.data() + max_taps,
-                      wgt_scratch.data() + 2 * max_taps,
-                      wgt_scratch.data() + 3 * max_taps};
-
-  // Per-symbol window geometry; false for a symbol with no taps inside the
-  // accumulation window.
-  const auto geometry = [&](std::size_t k, Sym& s) {
-    s.tk = kSps * static_cast<double>(k) * (1.0 + p.drift) + p.mu;
-    s.lo = std::max<std::ptrdiff_t>(
-        static_cast<std::ptrdiff_t>(std::ceil(s.tk - hw)), mbase);
-    const auto hi = std::min<std::ptrdiff_t>(
-        static_cast<std::ptrdiff_t>(std::floor(s.tk + hw)), mend - 1);
-    if (hi < s.lo) return false;
-    s.cnt = static_cast<std::size_t>(hi - s.lo + 1);
-    return true;
-  };
-  const auto accumulate = [&](const Sym& s, const cplx uk, const double* w) {
-    cplx* vk = v.data() + static_cast<std::size_t>(s.lo - mbase);
-    for (std::size_t i = 0; i < s.cnt; ++i) vk[i] += uk * w[i];
-  };
 
 #if defined(ZZ_CHAN_AVX2_DISPATCH)
   std::size_t group_width = cpu_has_avx2() ? 4 : 2;
@@ -407,60 +550,90 @@ void render(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
   if (g_render_group_width_override > 0)
     group_width = std::min<std::size_t>(
         group_width, static_cast<std::size_t>(g_render_group_width_override));
-  // Width 1 is the from-scratch reference the reuse below is pinned to.
-  const bool reuse = group_width > 1;
 
-  // Symbols whose weights are still to be computed, in ascending k.
-  Sym syms[4];
-  cplx uks[4];
+  // Bounded scratch: a ring of the runs live at one block and a ring of
+  // weight slots. A run is live at block b while lo < b + kBlock and
+  // lo + cnt > b, so its tk lies in an open interval of 2·hw + kBlock + 1
+  // samples; symbol times are kSps·(1 + drift) apart. Slots are handed out
+  // in order, so a slot is rewritten only cap computations later, when
+  // every run reading it (its own and the reusing ones) has retired.
+  const auto max_taps = static_cast<std::size_t>(2.0 * hw) + 2;
+  const auto stride = max_taps + 2 * static_cast<std::size_t>(kBlock);
+  std::size_t cap = k1 - k0;
+  const double max_live =
+      (2.0 * hw + static_cast<double>(kBlock) + 4.0) / (kSps * (1.0 + p.drift)) +
+      4.0;
+  if (max_live < static_cast<double>(cap))
+    cap = static_cast<std::size_t>(max_live);
+  cap = std::bit_ceil(cap);
+  const std::size_t mask = cap - 1;
+  thread_local std::vector<Run> ring;
+  thread_local std::vector<double> slots;
+  if (ring.size() < cap) ring.resize(cap);
+  if (slots.size() < cap * stride) slots.resize(cap * stride);
+  std::size_t head = 0, tail = 0;  // live runs: ring[head..tail) mod cap
+  std::size_t nslot = 0;           // weight slots handed out so far
+
+  // Symbols whose weights are still to be computed, in ascending k, each
+  // with the slot its kernel writes.
+  Sym queued[4];
+  double* queued_w[4] = {};
   std::size_t ns = 0;
+  const auto flush = [&] {
+#if defined(ZZ_CHAN_AVX2_DISPATCH)
+    if (ns == 4) {
+      weights_quad<Kernel>(queued, hw, cdu, sdu, cdw, sdw, queued_w);
+    } else
+#endif
+    if (ns >= 2) {
+      weights_pair<Kernel>(queued[0], queued[1], hw, cdu, sdu, cdw, sdw,
+                           queued_w[0], queued_w[1]);
+      if (ns == 3)
+        weights_tail<Kernel>(queued[2], queued[2].t, 0, hw, cdu, sdu, cdw,
+                             sdw, queued_w[2]);
+    } else {
+      weights_tail<Kernel>(queued[0], queued[0].t, 0, hw, cdu, sdu, cdw, sdw,
+                           queued_w[0]);
+    }
+    for (std::size_t j = 0; j < ns; ++j) {
+      std::fill_n(queued_w[j] - kBlock, kBlock, 0.0);
+      std::fill_n(queued_w[j] + queued[j].cnt, kBlock, 0.0);
+    }
+    ns = 0;
+  };
+  // Per-symbol window geometry; false for a symbol with no taps inside the
+  // output window. The tap bounds ⌈tk - hw⌉ and ⌊tk + hw⌋ are clipped to
+  // the window, so their arguments are first clamped to [mbase - 1, mend]
+  // (same clipped bounds), where rounding by truncation is exact — no libm
+  // call per symbol.
+  const double clamp_lo = static_cast<double>(mbase - 1);
+  const double clamp_hi = static_cast<double>(mend);
+  const auto geometry = [&](std::size_t k, Sym& s) {
+    s.tk = kSps * static_cast<double>(k) * (1.0 + p.drift) + p.mu;
+    const double first = std::max(s.tk - hw, clamp_lo);
+    const double last = std::clamp(s.tk + hw, clamp_lo, clamp_hi);
+    auto lo = static_cast<std::ptrdiff_t>(first);  // truncates toward zero
+    if (static_cast<double>(lo) < first) ++lo;
+    auto hi = static_cast<std::ptrdiff_t>(last);
+    if (static_cast<double>(hi) > last) --hi;
+    s.lo = std::max(lo, mbase);
+    hi = std::min(hi, mend - 1);
+    if (hi < s.lo) return false;
+    s.cnt = static_cast<std::size_t>(hi - s.lo + 1);
+    return true;
+  };
   // Weights of the last symbol computed or queued: a symbol with the same
   // (x_lo, cnt) key reuses them (the key fixes every tap, see channel.h).
   std::uint64_t last_xlo = 0;
   std::size_t last_cnt = 0;  // 0 = no key yet (every symbol has cnt >= 1)
   const double* last_w = nullptr;
-  const auto flush = [&] {
-#if defined(ZZ_CHAN_AVX2_DISPATCH)
-    if (ns == 4) {
-      weights_quad<Kernel>(syms, hw, cdu, sdu, cdw, sdw, lanes);
-    } else
-#endif
-    if (ns >= 2) {
-      weights_pair<Kernel>(syms[0], syms[1], hw, cdu, sdu, cdw, sdw,
-                           lanes[0], lanes[1]);
-      if (ns == 3)
-        weights_tail<Kernel>(syms[2], syms[2].t, 0, hw, cdu, sdu, cdw, sdw,
-                             lanes[2]);
-    } else {
-      weights_tail<Kernel>(syms[0], syms[0].t, 0, hw, cdu, sdu, cdw, sdw,
-                           lanes[0]);
-    }
-    for (std::size_t j = 0; j < ns; ++j) accumulate(syms[j], uks[j], lanes[j]);
-    last_w = lanes[ns - 1];
-    ns = 0;
-  };
 
-  for (std::size_t k = k0; k < k1; ++k) {
-    Sym& s = syms[ns];
-    if (std::norm(u[k]) < 1e-24 || !geometry(k, s)) continue;
-    const double x_lo = static_cast<double>(s.lo) - s.tk;
-    const auto xlo_bits = std::bit_cast<std::uint64_t>(x_lo);
-    if (reuse && xlo_bits == last_xlo && s.cnt == last_cnt) {
-      // Accumulation stays in ascending k: the queued symbols go first
-      // (flush leaves this unqueued slot alone).
-      if (ns > 0) flush();
-      accumulate(s, u[k], last_w);
-      continue;
-    }
-    // Rotors for x = m - tk starting at m = lo.
-    s.t = {std::sin(kPi * x_lo / kSps), std::cos(kPi * x_lo / kSps),
-           std::sin(kPi * x_lo / hw), std::cos(kPi * x_lo / hw)};
-    uks[ns++] = u[k];
-    last_xlo = xlo_bits;
-    last_cnt = s.cnt;
-    if (ns == group_width) flush();
-  }
-  if (ns > 0) flush();
+  // The next populated symbol (a NaN counts) with taps in the window, not
+  // yet taken in.
+  std::size_t k = k0;
+  Sym next;
+  cplx next_u;
+  bool have_next = false;
 
   // Carrier rotation e^{j2πδf·m} via a rotor re-anchored periodically so
   // rounding drift stays below the subtraction-fidelity floor.
@@ -468,18 +641,61 @@ void render(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
   const cplx rot_step{std::cos(dphi), std::sin(dphi)};
   cplx rot{std::cos(dphi * static_cast<double>(mbase)),
            std::sin(dphi * static_cast<double>(mbase))};
-  constexpr std::ptrdiff_t kAnchor = 4096;
-  for (std::ptrdiff_t m = mbase; m < mend; ++m) {
-    const std::size_t vi = static_cast<std::size_t>(m - mbase);
-    if ((m - mbase) % kAnchor == 0 && m != mbase)
-      rot = cplx{std::cos(dphi * static_cast<double>(m)),
-                 std::sin(dphi * static_cast<double>(m))};
-    if (std::norm(v[vi]) >= 1e-24) {
-      const std::ptrdiff_t out = offset + m;
-      if (out >= 0 && out < static_cast<std::ptrdiff_t>(buf.size()))
-        buf[static_cast<std::size_t>(out)] += scale * p.h * v[vi] * rot;
+  constexpr std::ptrdiff_t kAnchor = 4096;  // blocks start on every anchor
+  static_assert(kAnchor % kBlock == 0);
+  const Sink sink{buf.data(), static_cast<std::ptrdiff_t>(buf.size()), offset,
+                  scale * p.h};
+  alignas(32) double rr[kBlock] = {}, ri[kBlock] = {};
+
+  for (std::ptrdiff_t b = mbase; b < mend; b += kBlock) {
+    while (head != tail && ring[head & mask].end <= b) ++head;
+    // Take in every symbol whose run starts before the block ends.
+    for (;;) {
+      for (; !have_next && k < k1; ++k)
+        if (!(std::norm(u[k]) < 1e-24) && geometry(k, next)) {
+          next_u = u[k];
+          have_next = true;
+        }
+      if (!have_next || next.lo >= b + kBlock) break;
+      have_next = false;
+      const double x_lo = static_cast<double>(next.lo) - next.tk;
+      const auto xlo_bits = std::bit_cast<std::uint64_t>(x_lo);
+      if (xlo_bits != last_xlo || next.cnt != last_cnt) {
+        double* w = slots.data() + (nslot++ & mask) * stride + kBlock;
+        // Rotors for x = m - tk starting at m = lo.
+        next.t = {std::sin(kPi * x_lo / kSps), std::cos(kPi * x_lo / kSps),
+                  std::sin(kPi * x_lo / hw), std::cos(kPi * x_lo / hw)};
+        queued[ns] = next;
+        queued_w[ns++] = w;
+        last_xlo = xlo_bits;
+        last_cnt = next.cnt;
+        last_w = w;
+        if (ns == group_width) flush();
+      }
+      ZZ_DCHECK_LT(tail - head, cap);
+      ring[tail++ & mask] =
+          Run{next.lo, next.lo + static_cast<std::ptrdiff_t>(next.cnt),
+              next_u.real(), next_u.imag(), last_w,
+              std::isfinite(next_u.real()) && std::isfinite(next_u.imag())};
     }
-    rot *= rot_step;
+    if (ns > 0) flush();
+
+    if ((b - mbase) % kAnchor == 0 && b != mbase)
+      rot = cplx{std::cos(dphi * static_cast<double>(b)),
+                 std::sin(dphi * static_cast<double>(b))};
+    const std::ptrdiff_t n = std::min(kBlock, mend - b);
+    for (std::ptrdiff_t j = 0; j < n; ++j) {
+      rr[j] = rot.real();
+      ri[j] = rot.imag();
+      rot *= rot_step;
+    }
+    const RunRing live_runs{ring.data(), mask, head, tail};
+#if defined(ZZ_CHAN_AVX2_DISPATCH)
+    if (group_width == 4)
+      block_avx2(live_runs, b, n, sink, rr, ri);
+    else
+#endif
+      block_portable(live_runs, b, n, sink, rr, ri);
   }
 }
 

@@ -72,10 +72,29 @@ double pulse(double x, std::size_t interp_half_width = 8);
 /// symbol k arriving at continuous buffer time `offset + kSps·k + p.mu
 /// (1+drift)`. `offset` is in samples. `scale` multiplies the contribution
 /// (scale = -1 subtracts — ZigZag's cancellation step). Contributions that
-/// fall outside `buf` are dropped.
+/// fall outside `buf` are dropped. `p.drift` must not be below -1 (symbol
+/// times must not decrease with k); that is a checked contract.
 ///
 /// `interp_half_width` is the windowed-sinc pulse half width in symbols
 /// (§4.2.3b: "about 8 symbols in the neighborhood").
+///
+/// The output is defined per sample m by a symbol-major sum over the
+/// ISI-filtered symbols u: v[m] starts at +0.0 and takes u[k]·w_k(m - tk)
+/// for every symbol k whose tap run covers m (bar those with |u[k]|² <
+/// 1e-24), in ascending k; then, if |v[m]|² ≥ 1e-24, buf[offset + m] +=
+/// (scale·ĥ)·v[m]·rot[m], rot being a rotor for e^{j2πδf·m} re-anchored
+/// every 4096 samples. The render computes it output-major: each block of
+/// 16 samples sums the symbols covering it, in ascending k, in SIMD lanes
+/// (AVX2 where the CPU has it, else portable loops), and rotates, scales and
+/// adds in the same pass — the same additions in the same order, so the
+/// result is bit-identical. Lanes outside a symbol's tap run add u[k]·0 =
+/// ±0.0, which leaves a sum unchanged: under round-to-nearest a sum that
+/// starts at +0.0 is never -0.0. An Inf/NaN symbol is masked to its own
+/// lanes instead, since Inf·0 is NaN, and lanes whose product is NaN go out
+/// through the scalar complex multiply (its C99 Annex G recovery). The
+/// scratch is bounded by the half width, not the packet: a ring of the
+/// symbols live at one block (about (2·hw + 16)/kSps of them) and a ring of
+/// as many weight slots.
 ///
 /// Weight reuse: symbol k's pulse taps run over samples lo..lo + cnt - 1
 /// around its time tk, and their weights are a function of (x_lo = lo - tk,
@@ -101,12 +120,12 @@ void add_signal_derivative(CVec& buf, std::ptrdiff_t offset,
                            const CVec& symbols, const ChannelParams& p,
                            std::size_t interp_half_width = 8);
 
-/// Test hook: cap the render's symbol-group width (4 = CPU-dispatched AVX2
-/// quads where available, 2 = SSE2 pairs, 1 = scalar tap loop computing
-/// every symbol's weights from scratch, with no reuse; 0 restores CPU
-/// dispatch). All widths are bit-identical by contract — the drift gates
-/// run on whatever the CI machine dispatches, so tests pin the narrower
-/// paths and the weight reuse against width 1 through this knob.
+/// Test hook: cap the render's symbol-group width (4 or 0 = CPU dispatch:
+/// AVX2 weight quads and the AVX2 gather where available; 2 = SSE2 weight
+/// pairs and the portable gather; 1 = the scalar weight loop and the
+/// portable gather). All widths are bit-identical by contract — the drift
+/// gates run on whatever the CI machine dispatches, so tests pin every
+/// width against the from-scratch reference render in tests/chan_test.cpp.
 void set_render_group_width_for_test(int width);
 
 /// Convenience: render a whole clean reception (signal + AWGN of unit power

@@ -2,13 +2,17 @@
 // synthesis. These pin down the signal model every other module relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "zz/chan/channel.h"
 #include "zz/common/mathutil.h"
 #include "zz/common/rng.h"
 #include "zz/emu/collision.h"
 #include "zz/phy/transmitter.h"
+
+#include "bit_equal.h"
 
 namespace zz::chan {
 namespace {
@@ -17,6 +21,136 @@ CVec random_bpsk(Rng& rng, std::size_t n) {
   CVec x(n);
   for (auto& v : x) v = rng.bit() ? cplx{1.0, 0.0} : cplx{-1.0, 0.0};
   return x;
+}
+
+// ---- Reference render --------------------------------------------------
+// The from-scratch route the production render is pinned to: every
+// symbol's tap weights from its own scalar rotors (no reuse), accumulated
+// symbol-major into a window buffer, then one rotation pass. The production
+// render sums the same products in the same order per sample, in SIMD
+// lanes, with weights reused across symbols (channel.h).
+
+struct RefTrig {
+  double sin_u, cos_u, sin_w, cos_w;
+};
+
+double ref_value_pulse(double x, double /*hw*/, const RefTrig& t) {
+  const double w = 0.5 * (1.0 + t.cos_w);
+  const double u = x / kSps;
+  const double s = std::abs(u) < 1e-8 ? 1.0 : t.sin_u / (kPi * u);
+  return s * w;
+}
+
+double ref_derivative_pulse(double x, double hw, const RefTrig& t) {
+  const double w = 0.5 * (1.0 + t.cos_w);
+  const double dw = -0.5 * (kPi / hw) * t.sin_w;
+  const double u = x / kSps;
+  double s, ds;
+  if (std::abs(u) < 1e-8) {
+    s = 1.0;
+    ds = 0.0;
+  } else {
+    const double pu = kPi * u;
+    s = t.sin_u / pu;
+    ds = (t.cos_u * pu - t.sin_u) * kPi / (pu * pu) / kSps;
+  }
+  return ds * w + s * dw;
+}
+
+template <double (*Pulse)(double, double, const RefTrig&)>
+void reference_render(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
+                      const ChannelParams& p, double scale,
+                      std::size_t hw_symbols) {
+  if (symbols.empty()) return;
+  const double hw = static_cast<double>(hw_symbols) * kSps;
+  const CVec u = p.isi.is_identity() ? symbols : p.isi.apply(symbols);
+
+  std::size_t k0 = 0;
+  while (k0 < u.size() && std::norm(u[k0]) < 1e-24) ++k0;
+  if (k0 == u.size()) return;
+  std::size_t k1 = u.size();
+  while (std::norm(u[k1 - 1]) < 1e-24) --k1;
+
+  const double span = kSps * static_cast<double>(u.size()) + p.mu +
+                      p.drift * kSps * static_cast<double>(u.size());
+  const auto rel_len =
+      static_cast<std::ptrdiff_t>(std::ceil(span + 2.0 * hw)) + 2;
+  const double t_first =
+      kSps * static_cast<double>(k0) * (1.0 + p.drift) + p.mu;
+  const double t_last =
+      kSps * static_cast<double>(k1 - 1) * (1.0 + p.drift) + p.mu;
+  const std::ptrdiff_t mbase = std::max<std::ptrdiff_t>(
+      0, static_cast<std::ptrdiff_t>(std::floor(t_first - hw)));
+  const std::ptrdiff_t mend = std::min<std::ptrdiff_t>(
+      rel_len, static_cast<std::ptrdiff_t>(std::floor(t_last + hw)) + 1);
+  if (mend <= mbase) return;
+
+  CVec v(static_cast<std::size_t>(mend - mbase), cplx{0.0, 0.0});
+  const double cdu = std::cos(kPi / kSps), sdu = std::sin(kPi / kSps);
+  const double cdw = std::cos(kPi / hw), sdw = std::sin(kPi / hw);
+  for (std::size_t k = k0; k < k1; ++k) {
+    if (std::norm(u[k]) < 1e-24) continue;
+    const double tk = kSps * static_cast<double>(k) * (1.0 + p.drift) + p.mu;
+    const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(
+        static_cast<std::ptrdiff_t>(std::ceil(tk - hw)), mbase);
+    const std::ptrdiff_t hi = std::min<std::ptrdiff_t>(
+        static_cast<std::ptrdiff_t>(std::floor(tk + hw)), mend - 1);
+    if (hi < lo) continue;
+    const double x_lo = static_cast<double>(lo) - tk;
+    RefTrig t{std::sin(kPi * x_lo / kSps), std::cos(kPi * x_lo / kSps),
+              std::sin(kPi * x_lo / hw), std::cos(kPi * x_lo / hw)};
+    for (std::ptrdiff_t m = lo; m <= hi; ++m) {
+      const double x = static_cast<double>(m) - tk;
+      const double w = std::abs(x) < hw ? Pulse(x, hw, t) : 0.0;
+      v[static_cast<std::size_t>(m - mbase)] += u[k] * w;
+      const double su = t.sin_u * cdu + t.cos_u * sdu;
+      t.cos_u = t.cos_u * cdu - t.sin_u * sdu;
+      t.sin_u = su;
+      const double sw = t.sin_w * cdw + t.cos_w * sdw;
+      t.cos_w = t.cos_w * cdw - t.sin_w * sdw;
+      t.sin_w = sw;
+    }
+  }
+
+  const double dphi = kTwoPi * p.freq_offset;
+  const cplx rot_step{std::cos(dphi), std::sin(dphi)};
+  cplx rot{std::cos(dphi * static_cast<double>(mbase)),
+           std::sin(dphi * static_cast<double>(mbase))};
+  for (std::ptrdiff_t m = mbase; m < mend; ++m) {
+    const std::size_t vi = static_cast<std::size_t>(m - mbase);
+    if ((m - mbase) % 4096 == 0 && m != mbase)
+      rot = cplx{std::cos(dphi * static_cast<double>(m)),
+                 std::sin(dphi * static_cast<double>(m))};
+    if (std::norm(v[vi]) >= 1e-24) {
+      const std::ptrdiff_t out = offset + m;
+      if (out >= 0 && out < static_cast<std::ptrdiff_t>(buf.size()))
+        buf[static_cast<std::size_t>(out)] += scale * p.h * v[vi] * rot;
+    }
+    rot *= rot_step;
+  }
+}
+
+/// reference_render in add_signal / add_signal_derivative form.
+void reference_add(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
+                   const ChannelParams& p, double scale, std::size_t half,
+                   bool derivative) {
+  if (derivative)
+    reference_render<ref_derivative_pulse>(buf, offset, symbols, p, -1.0,
+                                           half);
+  else
+    reference_render<ref_value_pulse>(buf, offset, symbols, p, scale, half);
+}
+
+/// The production render at group-width cap `width` (0 = CPU dispatch).
+void production_add(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
+                    const ChannelParams& p, double scale, std::size_t half,
+                    bool derivative, int width) {
+  set_render_group_width_for_test(width);
+  if (derivative)
+    add_signal_derivative(buf, offset, symbols, p, half);
+  else
+    add_signal(buf, offset, symbols, p, scale, half);
+  set_render_group_width_for_test(0);
 }
 
 TEST(Channel, CleanPassThrough) {
@@ -116,10 +250,12 @@ TEST(Channel, DerivativeMatchesFiniteDifference) {
 }
 
 TEST(Channel, RenderGroupWidthsAreBitIdentical) {
-  // The render packs symbol groups into SIMD lanes (scalar, SSE2 pairs,
-  // AVX2 quads by CPU dispatch) under a bit-exactness contract — the drift
+  // The render computes tap weights in symbol groups packed into SIMD lanes
+  // (SSE2 pairs, AVX2 quads by CPU dispatch) and gathers the output in
+  // AVX2 or portable lanes, under a bit-exactness contract — the drift
   // gates only ever exercise the widest path the CI machine dispatches, so
-  // pin the narrower paths against it here.
+  // pin the narrower paths (cap 2 also forces the portable gather) and the
+  // reference against it here.
   Rng rng(606);
   const CVec x = random_bpsk(rng, 257);  // odd count: exercises group tails
   ChannelParams p;
@@ -129,24 +265,19 @@ TEST(Channel, RenderGroupWidthsAreBitIdentical) {
   p.drift = 1.3e-6;
   p.isi = sig::Fir({cplx{0.06, 0.02}, cplx{1.0, 0.0}, cplx{0.12, -0.04}}, 1);
 
-  const auto render_with = [&](int width, bool derivative) {
-    set_render_group_width_for_test(width);
-    CVec buf(620, cplx{0.0, 0.0});
-    if (derivative)
-      add_signal_derivative(buf, 16, x, p);
-    else
-      add_signal(buf, 16, x, p);
-    set_render_group_width_for_test(0);
-    return buf;
-  };
-
   for (const bool derivative : {false, true}) {
-    const CVec widest = render_with(0, derivative);  // CPU dispatch
+    CVec widest(620, cplx{0.0, 0.0});
+    production_add(widest, 16, x, p, 1.0, 8, derivative, 0);
+    CVec ref(620, cplx{0.0, 0.0});
+    reference_add(ref, 16, x, p, 1.0, 8, derivative);
+    for (std::size_t i = 0; i < widest.size(); ++i)
+      ASSERT_TRUE(test::bits_equal(widest[i], ref[i]))
+          << "reference derivative=" << derivative << " i=" << i;
     for (const int width : {1, 2, 4}) {
-      const CVec forced = render_with(width, derivative);
-      ASSERT_EQ(widest.size(), forced.size());
+      CVec forced(620, cplx{0.0, 0.0});
+      production_add(forced, 16, x, p, 1.0, 8, derivative, width);
       for (std::size_t i = 0; i < widest.size(); ++i)
-        ASSERT_EQ(widest[i], forced[i])
+        ASSERT_TRUE(test::bits_equal(widest[i], forced[i]))
             << "width=" << width << " derivative=" << derivative
             << " i=" << i;
     }
@@ -156,8 +287,8 @@ TEST(Channel, RenderGroupWidthsAreBitIdentical) {
 TEST(Channel, DriftFreeWeightReuseIsBitIdentical) {
   // With drift = 0 (every receiver-side link estimate) consecutive symbols
   // share their tap-weight key (x_lo, cnt) within each binade of
-  // tk = 2k + μ, and the render reuses the weights. Width 1 computes every
-  // symbol from scratch; the reusing widths must match it bit for bit.
+  // tk = 2k + μ, and the render reuses the weights. The reference computes
+  // every symbol from scratch; every width must match it bit for bit.
   // Odd length, ISI, tk crossing binades up to 512, and symbols from k = 0
   // so the first windows clip at sample 0. Half width 5 leaves a pair of
   // symbols queued when the first reuse comes (8 leaves one).
@@ -182,21 +313,13 @@ TEST(Channel, DriftFreeWeightReuseIsBitIdentical) {
     for (const std::size_t half : {std::size_t{8}, std::size_t{5}}) {
       for (const CVec* x : {&packet, &chunk}) {
         for (const bool derivative : {false, true}) {
-          const auto render_with = [&](int width) {
-            set_render_group_width_for_test(width);
-            CVec buf(660, cplx{0.0, 0.0});
-            if (derivative)
-              add_signal_derivative(buf, 0, *x, p, half);
-            else
-              add_signal(buf, 0, *x, p, 1.0, half);
-            set_render_group_width_for_test(0);
-            return buf;
-          };
-          const CVec scratch = render_with(1);
-          for (const int width : {0, 2, 4}) {
-            const CVec reused = render_with(width);
-            for (std::size_t i = 0; i < scratch.size(); ++i)
-              ASSERT_EQ(scratch[i], reused[i])
+          CVec ref(660, cplx{0.0, 0.0});
+          reference_add(ref, 0, *x, p, 1.0, half, derivative);
+          for (const int width : {0, 1, 2, 4}) {
+            CVec reused(660, cplx{0.0, 0.0});
+            production_add(reused, 0, *x, p, 1.0, half, derivative, width);
+            for (std::size_t i = 0; i < ref.size(); ++i)
+              ASSERT_TRUE(test::bits_equal(ref[i], reused[i]))
                   << "mu=" << mu << " half=" << half
                   << " chunk=" << (x == &chunk)
                   << " derivative=" << derivative << " width=" << width
@@ -206,6 +329,111 @@ TEST(Channel, DriftFreeWeightReuseIsBitIdentical) {
       }
     }
   }
+}
+
+TEST(Channel, RenderMatchesReferenceOnSeededConfigurations) {
+  // 3,000 seeded renders against the reference, at every group-width cap:
+  // drift 0 and not, ISI on and off, half widths 3/5/8, sparse chunks with
+  // zeroed and sub-threshold symbols inside, windows clipped at sample 0,
+  // offsets negative, clipped at either buffer end or wholly outside it,
+  // scale of either sign, value and derivative renders, packets long
+  // enough to re-anchor the carrier rotor, and Inf and NaN symbols. The
+  // buffer starts with random samples and signed zeros, so untouched
+  // samples are checked too.
+  Rng rng(2008);
+  constexpr int kConfigs = 3000;
+  for (int c = 0; c < kConfigs; ++c) {
+    constexpr std::size_t kHalves[] = {3, 5, 8};
+    const std::size_t half = kHalves[c % 3];
+    const bool derivative = c % 2 == 1;
+    const bool long_packet = c % 97 == 5;
+    const std::size_t n = static_cast<std::size_t>(
+        long_packet ? rng.uniform_int(2060, 2400) : rng.uniform_int(1, 220));
+
+    CVec x(n);
+    for (auto& s : x) s = rng.gaussian_c(1.0);
+    if (rng.chance(0.4)) {  // sparse chunk image
+      const auto a = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
+      const auto e = static_cast<std::size_t>(rng.uniform_int(a + 1, n));
+      for (std::size_t k = 0; k < n; ++k)
+        if (k < a || k >= e) x[k] = cplx{0.0, 0.0};
+      for (int z = 0; z < 3; ++z) {
+        const auto k = static_cast<std::size_t>(rng.uniform_int(a, e - 1));
+        x[k] = z == 2 ? cplx{1e-13, -1e-13} : cplx{0.0, 0.0};
+      }
+    }
+    if (c % 50 == 7) x[static_cast<std::size_t>(rng.uniform_int(0, n - 1))] =
+        cplx{std::numeric_limits<double>::infinity(), 0.5};
+    if (c % 50 == 23) x[static_cast<std::size_t>(rng.uniform_int(0, n - 1))] =
+        cplx{0.25, std::numeric_limits<double>::quiet_NaN()};
+
+    ChannelParams p;
+    p.h = rng.uniform(0.2, 4.0) * rng.unit_phasor();
+    p.freq_offset = rng.chance(0.1) ? 0.0 : rng.uniform(-5e-3, 5e-3);
+    p.mu = rng.chance(0.2) ? rng.uniform(-40.0, 3.0) : rng.uniform(-0.5, 0.5);
+    p.drift = rng.chance(0.5)
+                  ? 0.0
+                  : (rng.chance(0.5) ? rng.uniform(-2e-6, 2e-6)
+                                     : rng.uniform(-4e-3, 4e-3));
+    if (rng.chance(0.5))
+      p.isi = sig::Fir({0.15 * rng.unit_phasor(), cplx{1.0, 0.0},
+                        0.3 * rng.unit_phasor()},
+                       1);
+    const double scale =
+        (rng.chance(0.5) ? -1.0 : 1.0) * rng.uniform(0.25, 2.0);
+
+    const auto len = static_cast<std::ptrdiff_t>(2 * n + 64);
+    std::ptrdiff_t buf_len = len;
+    std::ptrdiff_t offset = rng.uniform_int(0, 40);
+    switch (rng.uniform_int(0, 4)) {
+      case 0: break;
+      case 1: offset = -rng.uniform_int(1, len); break;          // negative
+      case 2: buf_len = rng.uniform_int(1, len); break;          // clipped
+      case 3: offset = rng.chance(0.5) ? len + 40 : -2 * len;    // outside
+              break;
+      default: buf_len = rng.uniform_int(1, 2 * len); break;
+    }
+    CVec init(static_cast<std::size_t>(buf_len));
+    for (auto& s : init)
+      s = rng.chance(0.1) ? cplx{-0.0, rng.chance(0.5) ? -0.0 : 0.0}
+                          : rng.gaussian_c(0.5);
+
+    CVec ref = init;
+    reference_add(ref, offset, x, p, scale, half, derivative);
+    for (const int width : {0, 1, 2, 4}) {
+      CVec got = init;
+      production_add(got, offset, x, p, scale, half, derivative, width);
+      for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_TRUE(test::bits_equal(ref[i], got[i]))
+            << "config=" << c << " width=" << width << " n=" << n
+            << " half=" << half << " derivative=" << derivative
+            << " drift=" << p.drift << " offset=" << offset << " i=" << i;
+    }
+  }
+}
+
+TEST(Channel, SymbolTimesMustNotDecrease) {
+  // The render takes symbols in time order. At drift = -1 every symbol
+  // lands at μ (still in order, and the live-symbol ring must then hold
+  // them all); below -1 time runs backwards, a checked contract violation.
+  Rng rng(608);
+  CVec x(40);
+  for (auto& s : x) s = rng.gaussian_c(1.0);
+  ChannelParams p;
+  p.mu = 20.3;
+  p.drift = -1.0;
+  for (const int width : {0, 2}) {
+    CVec ref(80, cplx{0.0, 0.0}), got(80, cplx{0.0, 0.0});
+    reference_add(ref, 0, x, p, 1.0, 8, false);
+    ASSERT_GT(mean_power(ref), 1e-3);
+    production_add(got, 0, x, p, 1.0, 8, false, width);
+    for (std::size_t i = 0; i < ref.size(); ++i)
+      ASSERT_TRUE(test::bits_equal(ref[i], got[i]))
+          << "width=" << width << " i=" << i;
+  }
+  p.drift = -1.5;
+  CVec buf(80, cplx{0.0, 0.0});
+  EXPECT_DEATH(add_signal(buf, 0, x, p), "drift");
 }
 
 TEST(Channel, RandomChannelRespectsConfig) {

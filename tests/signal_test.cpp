@@ -12,6 +12,8 @@
 #include "zz/signal/interp.h"
 #include "zz/signal/scratch.h"
 
+#include "bit_equal.h"
+
 namespace zz::sig {
 namespace {
 
@@ -145,7 +147,8 @@ TEST(Interp, BlockEvaluationMatchesPerSampleGolden) {
   interp.at_batch(x, pos, batch.data());
   for (std::size_t j = 0; j < pos.size(); ++j) {
     const cplx ref = interp.at(x, pos[j]);
-    EXPECT_EQ(batch[j], ref) << "j=" << j;  // bit-identical by construction
+    // Bit-identical by construction.
+    EXPECT_TRUE(test::bits_equal(batch[j], ref)) << "j=" << j;
   }
 }
 
@@ -176,7 +179,7 @@ TEST(Interp, BatchWeightReuseMatchesPerPoint) {
     CVec batch(pos.size());
     interp.at_batch(x, pos, batch.data());
     for (std::size_t j = 0; j < pos.size(); ++j)
-      EXPECT_EQ(batch[j], interp.at(x, pos[j]))
+      EXPECT_TRUE(test::bits_equal(batch[j], interp.at(x, pos[j])))
           << "mu=" << run.mu << " drift=" << run.drift << " j=" << j;
   }
 }

@@ -162,18 +162,23 @@ void BM_MatchScore(benchmark::State& state) {
 }
 
 // ChunkDecoder::decode of a whole 200 B BPSK packet from a clean
-// reception, tracking from the preamble estimate.
+// reception, tracking from the preamble estimate, as a receiver decodes a
+// clean frame (or ZigZag a chunk). Arg backward 1 processes the tracking
+// blocks from the end (ZigZag's backward pass); arg eq 7 decodes through
+// the 7-tap LS equalizer of the link's 0.15-echo ISI, eq 1 through the
+// identity filter. The per_sym counter is the time per decoded symbol.
 void BM_ChunkDecode(benchmark::State& state) {
   Rng rng(54);
   const auto p = bench::make_party(rng, 1, 5, 200, 12.0);
   const CVec rx = chan::clean_reception(rng, p.frame.symbols, p.channel);
   const auto pe = phy::estimate_at_peak(rx, 64, p.channel.freq_offset);
+  const bool backward = state.range(0) != 0;
   phy::LinkEstimate est0;
   est0.params.h = pe.h;
   est0.params.freq_offset = p.channel.freq_offset;
   est0.params.mu = pe.mu;
   est0.params.isi = p.channel.isi;
-  est0.equalizer = p.profile.equalizer;
+  if (state.range(1) != 1) est0.equalizer = p.profile.equalizer;
   est0.noise_var = phy::estimate_noise_floor(rx);
   const std::size_t total = p.frame.layout.total_syms;
   std::vector<phy::SymbolSpec> specs(total);
@@ -182,11 +187,15 @@ void BM_ChunkDecode(benchmark::State& state) {
   const phy::ChunkDecoder dec;
   for (auto _ : state) {
     phy::LinkEstimate est = est0;
-    auto res = dec.decode(rx, pe.origin, 0, total, specs, est);
+    auto res = dec.decode(rx, pe.origin, 0, total, specs, est, backward);
     benchmark::DoNotOptimize(res);
   }
+  const auto symbols =
+      static_cast<double>(state.iterations()) * static_cast<double>(total);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(total));
+  state.counters["per_sym"] = benchmark::Counter(
+      symbols, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 
 // Clock drift of the kernel benches' link: arg 0 gives a drift-free link,
@@ -311,7 +320,10 @@ BENCHMARK(BM_StandardDecode)->Arg(200)->Arg(400)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Fft)->Arg(256)->Arg(2048)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Correlate)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_MatchScore)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ChunkDecode)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ChunkDecode)
+    ->ArgNames({"backward", "eq"})
+    ->ArgsProduct({{0, 1}, {1, 7}})
+    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Render)
     ->ArgNames({"drift", "isi", "deriv", "bytes"})
     ->ArgsProduct({{0, 1}, {0, 1}, {0, 1}, {80, 200}})

@@ -7,13 +7,13 @@
 
 #include "zz/common/check.h"
 #include "zz/common/mathutil.h"
+#include "zz/signal/simd.h"
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
 #endif
-#if defined(__x86_64__) && defined(__GNUC__)
+#if defined(ZZ_SIMD_AVX2_DISPATCH)
 #include <immintrin.h>
-#define ZZ_CHAN_AVX2_DISPATCH 1
 #endif
 
 namespace zz::chan {
@@ -82,7 +82,7 @@ struct ValuePulse {
     return _mm_mul_pd(s, w);
   }
 #endif
-#if defined(ZZ_CHAN_AVX2_DISPATCH)
+#if defined(ZZ_SIMD_AVX2_DISPATCH)
   /// Packed quad: lane-exact transcription of eval() above.
   __attribute__((target("avx2"))) static __m256d eval4(__m256d x,
                                                        __m256d /*hw*/,
@@ -147,7 +147,7 @@ struct DerivativePulse {
     return _mm_add_pd(_mm_mul_pd(ds, w), _mm_mul_pd(s, dw));
   }
 #endif
-#if defined(ZZ_CHAN_AVX2_DISPATCH)
+#if defined(ZZ_SIMD_AVX2_DISPATCH)
   /// Packed quad: lane-exact transcription of eval() above.
   __attribute__((target("avx2"))) static __m256d eval4(__m256d x, __m256d hw,
                                                        __m256d su, __m256d cu,
@@ -263,7 +263,7 @@ void weights_pair(const Sym& s0, const Sym& s1, double hw, double cdu,
 #endif
 }
 
-#if defined(ZZ_CHAN_AVX2_DISPATCH)
+#if defined(ZZ_SIMD_AVX2_DISPATCH)
 /// Weights for a QUAD of symbols over their common tap-run prefix — four
 /// independent rotor chains in the four AVX lanes.
 template <typename Kernel>
@@ -324,16 +324,7 @@ __attribute__((target("avx2"))) void weights_quad(const Sym* s, double hw,
     weights_tail<Kernel>(s[j], t, common, hw, cdu, sdu, cdw, sdw, w[j]);
   }
 }
-
-bool cpu_has_avx2() {
-  static const bool has = __builtin_cpu_supports("avx2");
-  return has;
-}
 #endif
-
-/// 0 = CPU dispatch; n > 0 caps the group width (see
-/// set_render_group_width_for_test).
-int g_render_group_width_override = 0;
 
 /// Output samples per gather block: the accumulators of one block are
 /// kBlock complex lanes, and a symbol's weight slot carries kBlock zeros on
@@ -406,7 +397,7 @@ void block_portable(const RunRing& rs, std::ptrdiff_t b, std::ptrdiff_t n,
   emit_lanes(s, b, n, ar, ai, rr, ri);
 }
 
-#if defined(ZZ_CHAN_AVX2_DISPATCH)
+#if defined(ZZ_SIMD_AVX2_DISPATCH)
 /// AVX2 gather: the same sums with the block's 16 lanes in eight ymm
 /// accumulators, and the output product sh·v·rot computed four lanes at a
 /// time with the exact operations of the scalar complex multiply. A quad
@@ -542,14 +533,7 @@ void render(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
   const double cdu = std::cos(du), sdu = std::sin(du);
   const double cdw = std::cos(dwv), sdw = std::sin(dwv);
 
-#if defined(ZZ_CHAN_AVX2_DISPATCH)
-  std::size_t group_width = cpu_has_avx2() ? 4 : 2;
-#else
-  std::size_t group_width = 2;
-#endif
-  if (g_render_group_width_override > 0)
-    group_width = std::min<std::size_t>(
-        group_width, static_cast<std::size_t>(g_render_group_width_override));
+  const std::size_t group_width = sig::simd_width();
 
   // Bounded scratch: a ring of the runs live at one block and a ring of
   // weight slots. A run is live at block b while lo < b + kBlock and
@@ -580,7 +564,7 @@ void render(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
   double* queued_w[4] = {};
   std::size_t ns = 0;
   const auto flush = [&] {
-#if defined(ZZ_CHAN_AVX2_DISPATCH)
+#if defined(ZZ_SIMD_AVX2_DISPATCH)
     if (ns == 4) {
       weights_quad<Kernel>(queued, hw, cdu, sdu, cdw, sdw, queued_w);
     } else
@@ -690,7 +674,7 @@ void render(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
       rot *= rot_step;
     }
     const RunRing live_runs{ring.data(), mask, head, tail};
-#if defined(ZZ_CHAN_AVX2_DISPATCH)
+#if defined(ZZ_SIMD_AVX2_DISPATCH)
     if (group_width == 4)
       block_avx2(live_runs, b, n, sink, rr, ri);
     else
@@ -700,10 +684,6 @@ void render(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
 }
 
 }  // namespace
-
-void set_render_group_width_for_test(int width) {
-  g_render_group_width_override = width;
-}
 
 double pulse(double x, std::size_t interp_half_width) {
   // Direct evaluation of the pulse the render loop above advances by

@@ -85,8 +85,9 @@ double pulse(double x, std::size_t interp_half_width = 8);
 /// (scale·ĥ)·v[m]·rot[m], rot being a rotor for e^{j2πδf·m} re-anchored
 /// every 4096 samples. The render computes it output-major: each block of
 /// 16 samples sums the symbols covering it, in ascending k, in SIMD lanes
-/// (AVX2 where the CPU has it, else portable loops), and rotates, scales and
-/// adds in the same pass — the same additions in the same order, so the
+/// (AVX2 where the CPU has it, else portable loops — the route is picked by
+/// sig::simd_width(), zz/signal/simd.h), and rotates, scales and adds in
+/// the same pass — the same additions in the same order, so the
 /// result is bit-identical. Lanes outside a symbol's tap run add u[k]·0 =
 /// ±0.0, which leaves a sum unchanged: under round-to-nearest a sum that
 /// starts at +0.0 is never -0.0. An Inf/NaN symbol is masked to its own
@@ -119,14 +120,6 @@ void add_signal(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
 void add_signal_derivative(CVec& buf, std::ptrdiff_t offset,
                            const CVec& symbols, const ChannelParams& p,
                            std::size_t interp_half_width = 8);
-
-/// Test hook: cap the render's symbol-group width (4 or 0 = CPU dispatch:
-/// AVX2 weight quads and the AVX2 gather where available; 2 = SSE2 weight
-/// pairs and the portable gather; 1 = the scalar weight loop and the
-/// portable gather). All widths are bit-identical by contract — the drift
-/// gates run on whatever the CI machine dispatches, so tests pin every
-/// width against the from-scratch reference render in tests/chan_test.cpp.
-void set_render_group_width_for_test(int width);
 
 /// Convenience: render a whole clean reception (signal + AWGN of unit power
 /// scaled by `noise_power`), with `lead` noise-only samples before the

@@ -56,10 +56,38 @@ struct SymbolSpec {
 
 /// Decodes an interference-free range of one packet's symbols from a sample
 /// buffer, mutating the caller's LinkEstimate as it tracks.
+///
+/// Per tracking block and pass, the decoder fetches the block's raw symbols
+/// plus guard = max(pre, post) equalizer-margin symbols on each side (block
+/// interpolation, then de-rotation by e^{-j2πδf̂·t} and normalization by
+/// conj(ĥ)/|ĥ|²), equalizes and slices them; the tracking sums, the slicer
+/// and the block order are serial.
+///
+/// Lanes: where sig::simd_width() is 4 (AVX2), the per-symbol stages run
+/// two symbols to a ymm register (re, im, re, im). The interpolation lanes
+/// are SincInterpolator::at_batch's. De-rotation takes each symbol's
+/// cos/sin from the scalar libm call on the scalar expression, then forms
+/// z·e^{jφ} and ·conj(ĥ) as the scalar complex multiply does, (a·c − b·d,
+/// a·d + b·c), and divides each part by |ĥ|². The equalizer computes two
+/// outputs per register, each tap product the same way, summed in
+/// ascending tap order from +0.0 like Fir::at; its bounds test is dropped,
+/// since the guard puts every tap index inside the fetched symbols. Every
+/// lane thus performs the scalar operations in the scalar order, so the
+/// result is bit-identical to the portable route. A lane whose product is
+/// NaN, where the scalar complex multiply may take its C99 Annex G
+/// recovery, is recomputed by the scalar expression (Fir::at for the
+/// equalizer).
+///
+/// Guard reuse: a block's final pass and the next block's first pass run
+/// under the same estimate (tracking corrects it only between a block's
+/// two passes), so the 2·guard raw symbols their ranges share are the same
+/// values — the next fetch copies them instead of recomputing them, in
+/// forward and backward block order.
 class ChunkDecoder {
  public:
   /// `interp_half_width` is the sinc interpolator's taps per side; symbols
-  /// are fetched one tracking block at a time (SincInterpolator::at_batch).
+  /// are fetched one tracking block at a time (SincInterpolator::at_batch,
+  /// its weights carried from block to block).
   ChunkDecoder(TrackingGains gains = {}, std::size_t interp_half_width = 8);
 
   struct Result {
@@ -80,11 +108,6 @@ class ChunkDecoder {
   std::size_t interp_half_width() const { return hw_; }
 
  private:
-  /// Interpolated, de-rotated, gain-normalized samples for the symbol index
-  /// range [m0, m1) into `z`, from one block interpolation pass.
-  void raw_block(const CVec& buf, std::ptrdiff_t origin, std::ptrdiff_t m0,
-                 std::ptrdiff_t m1, const LinkEstimate& est, CVec& z) const;
-
   TrackingGains gains_;
   std::size_t hw_;
   sig::SincInterpolator interp_;

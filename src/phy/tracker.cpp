@@ -2,12 +2,209 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "zz/common/check.h"
 #include "zz/common/mathutil.h"
+#include "zz/signal/simd.h"
+
+#if defined(ZZ_SIMD_AVX2_DISPATCH)
+#include <immintrin.h>
+#endif
 
 namespace zz::phy {
+namespace {
+
+/// One raw symbol's de-rotation and gain normalization: z·e^{jφ}, then
+/// ·conj(ĥ)/|ĥ|² when |ĥ|² > 1e-18. The division by the real |ĥ|² is
+/// spelled out per part, as the optimizer lowers complex / real.
+cplx derotate(cplx z, cplx rot, cplx h, double hn) {
+  const cplx derot = z * rot;
+  if (!(hn > 1e-18)) return derot;
+  const cplx g = derot * std::conj(h);
+  return {g.real() / hn, g.imag() / hn};
+}
+
+/// The raw symbols of the last fetch, [m0, m1), and whether they were
+/// fetched under the link estimate as it is now (then a following fetch
+/// copies the symbols the two ranges share instead of recomputing them).
+struct RawSymbols {
+  CVec z;
+  std::ptrdiff_t m0 = 0, m1 = 0;
+  bool current = false;
+  sig::SincInterpolator::Weights weights;  ///< carried across fetches
+};
+
+#if defined(ZZ_SIMD_AVX2_DISPATCH)
+/// The products of two complex values v = (re, im, re, im) with a factor
+/// whose real and imaginary parts are broadcast per pair in (br, bi): the
+/// scalar multiply's (a·c − b·d, a·d + b·c), by one addsub.
+__attribute__((target("avx2"))) inline __m256d mul_lanes(__m256d v,
+                                                        __m256d br,
+                                                        __m256d bi) {
+  return _mm256_addsub_pd(_mm256_mul_pd(v, br),
+                          _mm256_mul_pd(_mm256_permute_pd(v, 0x5), bi));
+}
+
+/// z[j] ← derotate(z[j], rot[j], h, hn) for j in [0, n), two symbols per
+/// register, each product by mul_lanes; a pair whose result holds a NaN —
+/// where the scalar multiply may take its C99 Annex G recovery — goes back
+/// through derotate().
+__attribute__((target("avx2"))) void derotate_lanes(cplx* z, const cplx* rot,
+                                                    std::size_t n, cplx h,
+                                                    double hn) {
+  const bool normalize = hn > 1e-18;
+  const __m256d hr = _mm256_set1_pd(h.real());
+  const __m256d hi = _mm256_set1_pd(std::conj(h).imag());
+  const __m256d vhn = _mm256_set1_pd(hn);
+  std::size_t j = 0;
+  for (; j + 2 <= n; j += 2) {
+    double* zp = reinterpret_cast<double*>(z + j);
+    const __m256d zv = _mm256_loadu_pd(zp);
+    const __m256d ev = _mm256_loadu_pd(reinterpret_cast<const double*>(rot + j));
+    __m256d d =
+        mul_lanes(zv, _mm256_movedup_pd(ev), _mm256_permute_pd(ev, 0xF));
+    if (normalize) d = _mm256_div_pd(mul_lanes(d, hr, hi), vhn);
+    if (_mm256_movemask_pd(_mm256_cmp_pd(d, d, _CMP_UNORD_Q)) == 0) {
+      _mm256_storeu_pd(zp, d);
+    } else {
+      z[j] = derotate(z[j], rot[j], h, hn);
+      z[j + 1] = derotate(z[j + 1], rot[j + 1], h, hn);
+    }
+  }
+  for (; j < n; ++j) z[j] = derotate(z[j], rot[j], h, hn);
+}
+
+/// out[i] = eq.at(z, off + i) for i in [0, n), two outputs per register
+/// and two registers per step: each output sums its tap products
+/// (mul_lanes of the raw symbols by the tap) in ascending tap order from
+/// +0.0, as Fir::at does. Every tap index lies inside z (off ≥ max(pre,
+/// post) and z holds off symbols after the last output), so Fir::at's
+/// bounds test always passes. A pair with a NaN product goes back through
+/// Fir::at.
+__attribute__((target("avx2"))) void equalize_lanes(const CVec& z,
+                                                    std::size_t off,
+                                                    std::size_t n,
+                                                    const sig::Fir& eq,
+                                                    cplx* out) {
+  const std::vector<cplx>& taps = eq.taps();
+  const std::size_t len = taps.size();
+  const auto scalar = [&](std::size_t i) {
+    out[i] = eq.at(z, static_cast<std::ptrdiff_t>(off + i));
+  };
+  // Output i reads z[off + i + pre - k] for tap k.
+  const double* base =
+      reinterpret_cast<const double*>(z.data() + off + eq.pre());
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const double* zp = base + 2 * i;
+    __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
+    __m256d nan0 = _mm256_setzero_pd(), nan1 = _mm256_setzero_pd();
+    for (std::size_t k = 0; k < len; ++k) {
+      const __m256d tr = _mm256_set1_pd(taps[k].real());
+      const __m256d ti = _mm256_set1_pd(taps[k].imag());
+      const __m256d p0 = mul_lanes(_mm256_loadu_pd(zp - 2 * k), tr, ti);
+      const __m256d p1 = mul_lanes(_mm256_loadu_pd(zp + 4 - 2 * k), tr, ti);
+      nan0 = _mm256_or_pd(nan0, _mm256_cmp_pd(p0, p0, _CMP_UNORD_Q));
+      nan1 = _mm256_or_pd(nan1, _mm256_cmp_pd(p1, p1, _CMP_UNORD_Q));
+      acc0 = _mm256_add_pd(acc0, p0);
+      acc1 = _mm256_add_pd(acc1, p1);
+    }
+    if (_mm256_movemask_pd(nan0) == 0) {
+      _mm256_storeu_pd(reinterpret_cast<double*>(out + i), acc0);
+    } else {
+      scalar(i);
+      scalar(i + 1);
+    }
+    if (_mm256_movemask_pd(nan1) == 0) {
+      _mm256_storeu_pd(reinterpret_cast<double*>(out + i + 2), acc1);
+    } else {
+      scalar(i + 2);
+      scalar(i + 3);
+    }
+  }
+  for (; i < n; ++i) scalar(i);
+}
+#endif
+
+/// Raw (interpolated, de-rotated, gain-normalized) symbols [m0, m1) into
+/// raw.z: one block interpolation pass at the packet-relative symbol times
+/// (2 samples/symbol, §5.1c), then per-symbol de-rotation and gain
+/// normalization. Symbols the previous fetch shares with this one are
+/// copied when raw.current says the estimate has not changed since.
+void fetch(const sig::SincInterpolator& interp, const CVec& buf,
+           std::ptrdiff_t origin, std::ptrdiff_t m0, std::ptrdiff_t m1,
+           const LinkEstimate& est, bool lanes, RawSymbols& raw) {
+  ZZ_DCHECK_LE(m0, m1);  // a reversed range would wrap the size below
+  const auto n = static_cast<std::size_t>(m1 - m0);
+  CVec& z = raw.z;
+  // Fresh symbols: [f0, f1), the part of [m0, m1) not reused.
+  std::ptrdiff_t f0 = m0, f1 = m1;
+  const std::ptrdiff_t a = std::max(m0, raw.m0), b = std::min(m1, raw.m1);
+  if (raw.current && a < b && (a == m0 || b == m1)) {
+    z.resize(std::max(z.size(), n));
+    std::memmove(z.data() + (a - m0), z.data() + (a - raw.m0),
+                 static_cast<std::size_t>(b - a) * sizeof(cplx));
+    if (a == m0)
+      f0 = b;  // forward: the previous tail is this range's head
+    else
+      f1 = a;  // backward: the previous head is this range's tail
+  }
+  z.resize(n);
+  raw.m0 = m0;
+  raw.m1 = m1;
+  raw.current = true;
+
+  // The fresh symbols go through in stack-sized pieces; the interpolator
+  // carries its weights from piece to piece.
+  const auto& p = est.params;
+  const double w = -kTwoPi * p.freq_offset;
+  const cplx h = p.h;
+  const double hn = std::norm(h);
+  constexpr std::ptrdiff_t kPiece = 32;
+  for (std::ptrdiff_t q0 = f0; q0 < f1; q0 += kPiece) {
+    const auto nq = static_cast<std::size_t>(std::min(kPiece, f1 - q0));
+    double rel[kPiece], pos[kPiece];
+    cplx rot[kPiece];
+    for (std::size_t j = 0; j < nq; ++j) {
+      const auto k = static_cast<double>(q0 + static_cast<std::ptrdiff_t>(j));
+      rel[j] = chan::kSps * k * (1.0 + p.drift) + p.mu;
+      pos[j] = static_cast<double>(origin) + rel[j];
+    }
+    cplx* zq = z.data() + (q0 - m0);
+    interp.at_batch(buf, {pos, nq}, zq, raw.weights);
+    for (std::size_t j = 0; j < nq; ++j) {
+      const double phi = w * rel[j];
+      rot[j] = cplx{std::cos(phi), std::sin(phi)};
+    }
+#if defined(ZZ_SIMD_AVX2_DISPATCH)
+    if (lanes) {
+      derotate_lanes(zq, rot, nq, h, hn);
+      continue;
+    }
+#endif
+    for (std::size_t j = 0; j < nq; ++j)
+      zq[j] = derotate(zq[j], rot[j], h, hn);
+  }
+  (void)lanes;
+}
+
+/// out[i] = eq.at(z, off + i) for i in [0, n).
+void equalize(const CVec& z, std::size_t off, std::size_t n,
+              const sig::Fir& eq, bool lanes, cplx* out) {
+#if defined(ZZ_SIMD_AVX2_DISPATCH)
+  if (lanes) {
+    equalize_lanes(z, off, n, eq, out);
+    return;
+  }
+#endif
+  (void)lanes;
+  for (std::size_t i = 0; i < n; ++i)
+    out[i] = eq.at(z, static_cast<std::ptrdiff_t>(off + i));
+}
+
+}  // namespace
 
 ChunkDecoder::ChunkDecoder(TrackingGains gains, std::size_t interp_half_width)
     : gains_(gains), hw_(interp_half_width), interp_(interp_half_width) {
@@ -16,34 +213,6 @@ ChunkDecoder::ChunkDecoder(TrackingGains gains, std::size_t interp_half_width)
   // least one tap on each side of the sample.
   ZZ_CHECK_GT(gains_.block, 0u);
   ZZ_CHECK_GT(hw_, 0u);
-}
-
-void ChunkDecoder::raw_block(const CVec& buf, std::ptrdiff_t origin,
-                             std::ptrdiff_t m0, std::ptrdiff_t m1,
-                             const LinkEstimate& est, CVec& z) const {
-  ZZ_DCHECK_LE(m0, m1);  // a reversed range would wrap the size below
-  const auto n = static_cast<std::size_t>(m1 - m0);
-  z.resize(n);
-  // One block interpolation pass at the packet-relative symbol times
-  // (2 samples/symbol, §5.1c), then per-symbol de-rotation and gain
-  // normalization.
-  const auto& p = est.params;
-  thread_local std::vector<double> rel, pos;
-  rel.resize(n);
-  pos.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const auto k = static_cast<double>(m0 + static_cast<std::ptrdiff_t>(j));
-    rel[j] = chan::kSps * k * (1.0 + p.drift) + p.mu;
-    pos[j] = static_cast<double>(origin) + rel[j];
-  }
-  interp_.at_batch(buf, {pos.data(), n}, z.data());
-  const cplx h = p.h;
-  const double hn = std::norm(h);
-  for (std::size_t j = 0; j < n; ++j) {
-    const double phi = -kTwoPi * p.freq_offset * rel[j];
-    const cplx derot = z[j] * cplx{std::cos(phi), std::sin(phi)};
-    z[j] = hn > 1e-18 ? derot * std::conj(h) / hn : derot;
-  }
 }
 
 ChunkDecoder::Result ChunkDecoder::decode(const CVec& buf,
@@ -83,7 +252,9 @@ ChunkDecoder::Result ChunkDecoder::decode(const CVec& buf,
 
   // Block-decode workspaces, allocated once per decode and reused across
   // blocks and passes (resize within capacity after the first block).
-  CVec z, zeq, dec;
+  RawSymbols raw;
+  CVec zeq, dec;
+  const bool lanes = sig::simd_width() >= 4;
 
   for (std::size_t bi = 0; bi < nblocks; ++bi) {
     const std::size_t b = backward ? nblocks - 1 - bi : bi;
@@ -101,19 +272,16 @@ ChunkDecoder::Result ChunkDecoder::decode(const CVec& buf,
                                 static_cast<std::ptrdiff_t>(guard);
       const std::ptrdiff_t m1 =
           static_cast<std::ptrdiff_t>(bk1) + static_cast<std::ptrdiff_t>(guard);
-      raw_block(buf, origin, m0, m1, est, z);
+      fetch(interp_, buf, origin, m0, m1, est, lanes, raw);
 
       // Equalize and slice the block.
       zeq.resize(bn);
       dec.resize(bn);
+      equalize(raw.z, guard, bn, est.equalizer, lanes, zeq.data());
       for (std::size_t i = 0; i < bn; ++i) {
-        const std::size_t k = bk0 + i;
-        const cplx v = est.equalizer.at(
-            z, static_cast<std::ptrdiff_t>(k) - m0);
-        zeq[i] = v;
-        const auto& spec = specs[k - k0];
+        const auto& spec = specs[bk0 + i - k0];
         dec[i] = spec.pilot ? *spec.pilot
-                            : mod_of(k - k0).nearest_point(v);
+                            : mod_of(bk0 + i - k0).nearest_point(zeq[i]);
       }
 
       if (pass == 1 || !gains_.enabled) {
@@ -197,6 +365,7 @@ ChunkDecoder::Result ChunkDecoder::decode(const CVec& buf,
       const double comp = -kTwoPi * df_applied * rel_center;
       p.h *= cplx{std::cos(comp), std::sin(comp)};
       p.mu += std::clamp(gains_.timing * timing_err, -0.1, 0.1);
+      raw.current = false;
     }
   }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
 #include "zz/common/types.h"
@@ -27,30 +28,54 @@ class SincInterpolator {
   std::size_t half_width() const { return half_width_; }
 
   /// Value of the band-limited signal underlying `x` at continuous position
-  /// `t` (in samples). Positions outside the stream see implicit zeros;
-  /// near the stream edges the truncated kernel window is renormalized by
-  /// its summed weight, so edge samples keep interior gain.
+  /// `t` (in samples). Positions outside the stream see implicit zeros
+  /// (a NaN position too); near the stream edges the truncated kernel
+  /// window is renormalized by its summed weight, so edge samples keep
+  /// interior gain.
   cplx at(const CVec& x, double t) const;
 
+  /// Interior kernel weights keyed on the bits of x0 = t - lo (see
+  /// at_batch). A caller that fetches block after block keeps one and
+  /// passes it to every at_batch call, so the weights of the last key carry
+  /// across calls. That is exact: the weights are a function of x0 and the
+  /// half width, and x0 ∈ [hw - 1, hw) fixes the half width too.
+  struct Weights {
+    std::size_t n = 0;      ///< taps in w; 0 = no key yet
+    std::uint64_t key = 0;  ///< bits of x0
+    double w[2 * kMaxHalfWidth];
+  };
+
   /// Block evaluation of a run of positions in one pass: out[j] is the
-  /// value at t[j], bit-identical to calling at(x, t[j]) per position. The
-  /// per-call kernel recurrence setup that at() redoes per sample is
-  /// hoisted across the whole run — this is the decoder's per-tracking-
-  /// block fetch path (ChunkDecoder::raw_block supplies the positions,
-  /// which its legacy per-symbol formula defines).
+  /// value at t[j], bit-identical to calling at(x, t[j]) per position —
+  /// this is the decoder's per-tracking-block fetch path
+  /// (phy::ChunkDecoder supplies the positions, which its legacy
+  /// per-symbol formula defines).
   ///
   /// Weight reuse: an interior position (whole window inside the stream)
   /// has taps at lo = floor(t) - hw + 1 ... lo + 2hw - 1, and its weights
   /// are a function of x0 = t - lo alone — every tap argument t - i equals
   /// x0 - (i - lo) exactly, because t ≥ hw - 1 and the integer i are
-  /// multiples of ulp(t) at most hw apart. So a position whose x0 has the same bit
-  /// pattern as the previous interior one reuses its weights. For
-  /// raw_block's positions origin + 2k + μ of a drift-free link estimate
+  /// multiples of ulp(t) at most hw apart. So a position whose x0 has the
+  /// same bit pattern as the previous interior one reuses its weights. For
+  /// the decoder's positions origin + 2k + μ of a drift-free link estimate
   /// (the receiver never estimates drift), x0 is constant within each
-  /// binade of t, so a block recomputes weights a handful of times, not
-  /// once per position. Edge positions always take at()'s renormalized
+  /// binade of t, so a whole decode computes weights a handful of times,
+  /// not once per position. Edge positions always take at()'s renormalized
   /// path.
+  ///
+  /// Lanes: where sig::simd_width() is 4 (AVX2), a run of up to eight
+  /// consecutive interior positions that share one weight vector is summed
+  /// two positions to a ymm register (re, im of each). Each lane takes
+  /// x[lo + j]·w[j] and adds it to its own accumulator, starting at +0.0,
+  /// in ascending j — the exact operations of the per-position dot
+  /// product, so every route gives the same bits. A key change ends a run;
+  /// a lone position (with drift ≠ 0 every position has its own key) and
+  /// edge windows take the per-position route. A NaN or far-off position
+  /// (|t| ≥ 2^62) reads zeros, as at() does.
   void at_batch(const CVec& x, std::span<const double> t, cplx* out) const;
+  /// at_batch with the weights carried in `carry` across calls.
+  void at_batch(const CVec& x, std::span<const double> t, cplx* out,
+                Weights& carry) const;
 
   /// Convenience block evaluation at uniformly spaced positions
   /// t_j = t0 + j·dt for j in [0, n) — a symbol-rate run expressed by
@@ -67,15 +92,12 @@ class SincInterpolator {
   CVec shift(const CVec& x, double mu, double drift_per_sample = 0.0) const;
 
  private:
-  /// One interpolated value with the recurrence constants precomputed.
-  cplx point(const CVec& x, double t, double cd, double sd) const;
   /// Interior-window taps for x0 = t - lo into w; returns how many lie
   /// inside the kernel window (2·half_width, or one fewer when t is an
   /// integer and the last tap sits on the window edge).
-  std::size_t interior_weights(double x0, double cd, double sd,
-                               double* w) const;
-  double kernel(double x) const;  ///< Hann-windowed sinc.
+  std::size_t interior_weights(double x0, double* w) const;
   std::size_t half_width_;
+  double cd_, sd_;  ///< cos/sin(π/half_width): the window rotor's step
 };
 
 }  // namespace zz::sig

@@ -1,6 +1,7 @@
 #include "zz/zigzag/decoder.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -145,17 +146,17 @@ constexpr double kMainW = 1.0 * kWeightNorm;
 constexpr double kNearW = 0.05 * kWeightNorm;
 constexpr double kFarW = 0.012 * kWeightNorm;
 
-// Required SINR (linear) for decoding a symbol of modulation `m` on top of
-// residual interference — the capture-effect criterion of Fig 4-1(d,e).
-double sinr_required(Modulation m, double base_db) {
-  double extra_db = 0.0;
-  switch (m) {
-    case Modulation::BPSK: extra_db = 0.0; break;
-    case Modulation::QPSK: extra_db = 3.0; break;
-    case Modulation::QAM16: extra_db = 10.0; break;
-    case Modulation::QAM64: extra_db = 16.0; break;
-  }
-  return db_to_lin(base_db + extra_db);
+// Required SINR (linear) for decoding a symbol on top of residual
+// interference — the capture-effect criterion of Fig 4-1(d,e) — indexed by
+// Modulation, for a BPSK threshold of `base_db`. The scheduler probes it
+// per symbol, so each engine computes the table once.
+std::array<double, 4> sinr_required(double base_db) {
+  // Extra SINR each constellation needs over BPSK, in Modulation order.
+  constexpr double kExtraDb[4] = {0.0, 3.0, 10.0, 16.0};
+  std::array<double, 4> out{};
+  for (std::size_t m = 0; m < out.size(); ++m)
+    out[m] = db_to_lin(base_db + kExtraDb[m]);
+  return out;
 }
 
 struct Link {
@@ -204,6 +205,7 @@ class Engine {
         C_(collisions.size()),
         P_(num_packets),
         dec_(opt.decoder_gains, opt.interp_half_width),
+        sinr_required_(sinr_required(opt.capture_sinr_db)),
         cache_(cache),
         arena_(ext_arena ? *ext_arena : own_arena_) {
     init();
@@ -415,7 +417,7 @@ class Engine {
     const double own = std::norm(l.est.params.h);
     const double theta =
         std::max(2.0 * noise_[c],
-                 own / sinr_required(mod_at(p, k), opt_.capture_sinr_db));
+                 own / sinr_required_[static_cast<std::size_t>(mod_at(p, k))]);
     return interference_at(p, c, k) <= theta;
   }
 
@@ -1556,6 +1558,7 @@ class Engine {
   std::size_t C_;
   std::size_t P_;
   phy::ChunkDecoder dec_;
+  const std::array<double, 4> sinr_required_;  ///< by Modulation, linear
 
   std::vector<CVec> residual_;
   std::vector<std::vector<CVec>> imgs_;                 // [p][c]

@@ -11,6 +11,7 @@
 #include "zz/common/rng.h"
 #include "zz/emu/collision.h"
 #include "zz/phy/transmitter.h"
+#include "zz/signal/simd.h"
 
 #include "bit_equal.h"
 
@@ -141,16 +142,16 @@ void reference_add(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
     reference_render<ref_value_pulse>(buf, offset, symbols, p, scale, half);
 }
 
-/// The production render at group-width cap `width` (0 = CPU dispatch).
+/// The production render at SIMD width cap `width` (0 = CPU dispatch).
 void production_add(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
                     const ChannelParams& p, double scale, std::size_t half,
                     bool derivative, int width) {
-  set_render_group_width_for_test(width);
+  sig::set_simd_width_for_test(width);
   if (derivative)
     add_signal_derivative(buf, offset, symbols, p, half);
   else
     add_signal(buf, offset, symbols, p, scale, half);
-  set_render_group_width_for_test(0);
+  sig::set_simd_width_for_test(0);
 }
 
 TEST(Channel, CleanPassThrough) {

@@ -2,7 +2,9 @@
 // transmitter and the standard (black-box) receiver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "zz/chan/channel.h"
 #include "zz/common/mathutil.h"
@@ -14,6 +16,9 @@
 #include "zz/phy/receiver.h"
 #include "zz/phy/scrambler.h"
 #include "zz/phy/transmitter.h"
+#include "zz/signal/simd.h"
+
+#include "bit_equal.h"
 
 namespace zz::phy {
 namespace {
@@ -349,6 +354,289 @@ TEST(ChunkDecoder, NoiseEwmaSeedsFromFirstMeasurement) {
   const auto second =
       dec.decode(rx, pe.origin, 64, 128, {specs.data() + 64, 64}, est);
   EXPECT_DOUBLE_EQ(est.noise_var, 0.9 * prev + 0.1 * second.noise_var);
+}
+
+// ---------------------------------------------------------------------------
+// Chunk decoder: the scalar reference.
+// ---------------------------------------------------------------------------
+
+/// ChunkDecoder::decode one symbol at a time, from scratch: every pass
+/// fetches all of its raw symbols (no guard reuse), each through the
+/// per-position interpolator (at(), bit-identical to at_batch by contract),
+/// the scalar de-rotation and normalization, and Fir::at with its bounds
+/// test; then the serial slicer and tracker. The division by the real |ĥ|²
+/// is spelled out per part, as the optimizer lowers complex / real.
+ChunkDecoder::Result reference_chunk_decode(
+    const TrackingGains& gains, std::size_t half_width, const CVec& buf,
+    std::ptrdiff_t origin, std::size_t k0, std::size_t k1,
+    std::span<const SymbolSpec> specs, LinkEstimate& est, bool backward) {
+  const sig::SincInterpolator interp(half_width);
+  const std::size_t n = k1 - k0;
+  ChunkDecoder::Result out;
+  out.soft.assign(n, cplx{});
+  out.decided.assign(n, cplx{});
+  if (n == 0) return out;
+  const auto raw = [&](std::ptrdiff_t m0, std::ptrdiff_t m1) {
+    const auto& p = est.params;
+    CVec z(static_cast<std::size_t>(m1 - m0));
+    const double hn = std::norm(p.h);
+    for (std::ptrdiff_t m = m0; m < m1; ++m) {
+      const double rel =
+          chan::kSps * static_cast<double>(m) * (1.0 + p.drift) + p.mu;
+      const cplx v = interp.at(buf, static_cast<double>(origin) + rel);
+      const double phi = -kTwoPi * p.freq_offset * rel;
+      const cplx derot = v * cplx{std::cos(phi), std::sin(phi)};
+      cplx r = derot;
+      if (hn > 1e-18) {
+        const cplx g = derot * std::conj(p.h);
+        r = {g.real() / hn, g.imag() / hn};
+      }
+      z[static_cast<std::size_t>(m - m0)] = r;
+    }
+    return z;
+  };
+  const std::size_t guard =
+      std::max(est.equalizer.pre(), est.equalizer.post());
+  const std::size_t nblocks = (n + gains.block - 1) / gains.block;
+  double resid_acc = 0.0;
+  std::size_t resid_cnt = 0;
+  for (std::size_t bi = 0; bi < nblocks; ++bi) {
+    const std::size_t b = backward ? nblocks - 1 - bi : bi;
+    const std::size_t bk0 = k0 + b * gains.block;
+    const std::size_t bk1 = std::min(k1, bk0 + gains.block);
+    const std::size_t bn = bk1 - bk0;
+    for (int pass = 0; pass < 2; ++pass) {
+      const auto m0 = static_cast<std::ptrdiff_t>(bk0) -
+                      static_cast<std::ptrdiff_t>(guard);
+      const CVec z = raw(m0, static_cast<std::ptrdiff_t>(bk1 + guard));
+      CVec zeq(bn), dec(bn);
+      for (std::size_t i = 0; i < bn; ++i) {
+        const std::size_t k = bk0 + i;
+        zeq[i] = est.equalizer.at(z, static_cast<std::ptrdiff_t>(k) - m0);
+        const auto& spec = specs[k - k0];
+        dec[i] = spec.pilot ? *spec.pilot
+                            : Modulator(spec.mod).nearest_point(zeq[i]);
+      }
+      if (pass == 1 || !gains.enabled) {
+        for (std::size_t i = 0; i < bn; ++i) {
+          out.soft[bk0 + i - k0] = zeq[i];
+          out.decided[bk0 + i - k0] = dec[i];
+          resid_acc += std::norm(zeq[i] - dec[i]);
+          ++resid_cnt;
+        }
+        break;
+      }
+      cplx corr{0.0, 0.0};
+      double dpow = 0.0;
+      for (std::size_t i = 0; i < bn; ++i) {
+        corr += zeq[i] * std::conj(dec[i]);
+        dpow += std::norm(dec[i]);
+      }
+      if (dpow < 1e-12) break;
+      const double phase_err = std::arg(corr);
+      const double amp_ratio = std::abs(corr) / dpow;
+      double terr_num = 0.0, terr_den = 0.0;
+      if (bn >= 3) {
+        for (std::size_t i = 1; i + 1 < bn; ++i) {
+          const cplx slope = 0.5 * (dec[i + 1] - dec[i - 1]);
+          terr_num += std::real(std::conj(slope) * (zeq[i] - dec[i]));
+          terr_den += std::norm(slope);
+        }
+      } else if (bn == 2) {
+        const cplx slope = dec[1] - dec[0];
+        terr_num += std::real(std::conj(slope) * (zeq[0] - dec[0]));
+        terr_num += std::real(std::conj(slope) * (zeq[1] - dec[1]));
+        terr_den += 2.0 * std::norm(slope);
+      }
+      const double timing_err = terr_den > 1e-9 ? -terr_num / terr_den : 0.0;
+      auto& p = est.params;
+      const double dphi = gains.phase * phase_err;
+      p.h *= cplx{std::cos(dphi), std::sin(dphi)};
+      const double damp = 1.0 + gains.amplitude * (amp_ratio - 1.0);
+      p.h *= std::clamp(damp, 0.5, 2.0);
+      const double df =
+          gains.freq * phase_err /
+          (kTwoPi * chan::kSps * static_cast<double>(gains.block));
+      const double df_applied = backward ? -df : df;
+      p.freq_offset += df_applied;
+      const double rel_center =
+          chan::kSps *
+              (static_cast<double>(bk0) + 0.5 * static_cast<double>(bn)) *
+              (1.0 + p.drift) +
+          p.mu;
+      const double comp = -kTwoPi * df_applied * rel_center;
+      p.h *= cplx{std::cos(comp), std::sin(comp)};
+      p.mu += std::clamp(gains.timing * timing_err, -0.1, 0.1);
+    }
+  }
+  out.noise_var = resid_cnt ? resid_acc / static_cast<double>(resid_cnt) : 0.0;
+  if (!est.noise_seeded) {
+    est.noise_var = out.noise_var;
+    est.noise_seeded = true;
+  } else {
+    est.noise_var = 0.9 * est.noise_var + 0.1 * out.noise_var;
+  }
+  return out;
+}
+
+::testing::AssertionResult same_bits(cplx a, cplx b) {
+  return test::bits_equal_or_nan(a, b);
+}
+
+/// Every output of a decode and the estimate it leaves, bit for bit (a NaN
+/// matching any NaN, see test::bits_equal_or_nan).
+::testing::AssertionResult same_decode(const ChunkDecoder::Result& got,
+                                       const LinkEstimate& got_est,
+                                       const ChunkDecoder::Result& want,
+                                       const LinkEstimate& want_est) {
+  if (got.soft.size() != want.soft.size() ||
+      got.decided.size() != want.decided.size())
+    return ::testing::AssertionFailure() << "result sizes differ";
+  for (std::size_t i = 0; i < want.soft.size(); ++i) {
+    if (auto r = same_bits(got.soft[i], want.soft[i]); !r)
+      return r << " soft[" << i << "]";
+    if (auto r = same_bits(got.decided[i], want.decided[i]); !r)
+      return r << " decided[" << i << "]";
+  }
+  const std::pair<double, double> scalars[] = {
+      {got.noise_var, want.noise_var},
+      {got_est.params.freq_offset, want_est.params.freq_offset},
+      {got_est.params.mu, want_est.params.mu},
+      {got_est.params.drift, want_est.params.drift},
+      {got_est.noise_var, want_est.noise_var}};
+  for (const auto& [g, w] : scalars)
+    if (auto r = same_bits(cplx{g, 0.0}, cplx{w, 0.0}); !r)
+      return r << " (scalar output)";
+  if (auto r = same_bits(got_est.params.h, want_est.params.h); !r)
+    return r << " h";
+  if (got_est.noise_seeded != want_est.noise_seeded)
+    return ::testing::AssertionFailure() << "noise_seeded differs";
+  return ::testing::AssertionSuccess();
+}
+
+/// A random equalizer shape for config c: identity, 3 taps (pre 1), 7 taps
+/// (pre 3), or an asymmetric 4-tap (pre 0) / 5-tap (pre 3) filter.
+sig::Fir random_equalizer(Rng& rng, int shape) {
+  static constexpr std::size_t kLen[] = {1, 3, 7, 4, 5};
+  static constexpr std::size_t kPre[] = {0, 1, 3, 0, 3};
+  if (shape == 0) return sig::Fir();
+  std::vector<cplx> taps(kLen[shape]);
+  for (std::size_t i = 0; i < taps.size(); ++i)
+    taps[i] = (i == kPre[shape] ? cplx{1.0, 0.0} : cplx{}) +
+              rng.uniform(0.0, 0.3) * rng.unit_phasor();
+  return sig::Fir(std::move(taps), kPre[shape]);
+}
+
+TEST(ChunkDecoder, MatchesScalarReferenceOnSeededConfigurations) {
+  // 2,400 seeded decodes against the scalar reference, on every SIMD route
+  // (CPU dispatch, AVX2 cap, portable cap): every modulation, mixed and
+  // with pilots (zero pilots too, which skip a block's tracking); forward
+  // and backward; tracking on and off; block sizes 1, 2, 3, 16, 17 with
+  // tail blocks and chunks starting past symbol 0; identity, 3-, 7-tap and
+  // asymmetric equalizers; half widths 1, 3, 8; drift 0 and not, so the
+  // weight key changes inside a block; integer positions, whose windows
+  // have an odd tap count; windows clipped at both buffer edges; |ĥ|² ≤
+  // 1e-18; and Inf and NaN samples in the buffer, some of whose complex
+  // products take the C99 Annex G recovery.
+  constexpr Modulation kMods[] = {Modulation::BPSK, Modulation::QPSK,
+                                  Modulation::QAM16, Modulation::QAM64};
+  constexpr std::size_t kBlocks[] = {1, 2, 3, 16, 17};
+  constexpr std::size_t kHalfWidths[] = {8, 8, 3, 1};
+  Rng rng(0xc0de);
+  for (int c = 0; c < 2400; ++c) {
+    TrackingGains gains;
+    gains.block = kBlocks[c % 5];
+    gains.enabled = c % 7 != 0;
+    const std::size_t half = kHalfWidths[(c / 5) % 4];
+    const bool backward = (c / 20) % 2 == 1;
+    const Modulation mod = kMods[(c / 40) % 4];
+    const bool mixed = c % 11 == 0;
+
+    // The packet, rendered into a noisy buffer that may clip it at either
+    // end: early symbols' windows start before sample 0 when the lead is
+    // short, and late ones run past the end when the buffer is short.
+    const auto len = static_cast<std::size_t>(rng.uniform_int(1, 120));
+    CVec syms(len);
+    std::vector<SymbolSpec> all(len);
+    for (std::size_t k = 0; k < len; ++k) {
+      const Modulation m =
+          mixed ? kMods[static_cast<std::size_t>(rng.uniform_int(0, 3))] : mod;
+      const Modulator mo(m);
+      syms[k] = mo.map(static_cast<unsigned>(rng.uniform_int(0, 63)));
+      all[k].mod = m;
+      if (k < 8 || rng.uniform() < 0.05) all[k].pilot = syms[k];
+    }
+    if (c % 13 == 0)  // a run of zero pilots: dpow = 0 skips tracking
+      for (std::size_t k = 0; k < std::min<std::size_t>(len, 20); ++k)
+        all[k].pilot = cplx{0.0, 0.0};
+    chan::ChannelParams truth;
+    truth.h = rng.uniform(0.3, 3.0) * rng.unit_phasor();
+    truth.freq_offset = rng.uniform(-2e-3, 2e-3);
+    truth.mu = rng.uniform(-0.5, 0.5);
+    truth.drift = c % 3 == 0 ? rng.uniform(-1e-3, 1e-3) : 0.0;
+    const auto lead = rng.uniform_int(0, 30);
+    const auto tail = rng.uniform_int(-40, 30);
+    const auto buf_len = static_cast<std::size_t>(std::max<std::int64_t>(
+        8, lead + 2 * static_cast<std::int64_t>(len) + tail));
+    CVec buf(buf_len);
+    for (auto& v : buf) v = rng.gaussian_c(0.05);
+    chan::add_signal(buf, lead, syms, truth, 1.0, half);
+    if (c % 25 == 3)
+      buf[static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(buf_len) - 1))] =
+          cplx{std::numeric_limits<double>::infinity(), 0.5};
+    if (c % 25 == 7)
+      buf[static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(buf_len) - 1))] =
+          cplx{0.25, std::numeric_limits<double>::quiet_NaN()};
+    if (c % 50 == 11) {
+      const auto at = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(buf_len) - 2));
+      buf[at] = cplx{-std::numeric_limits<double>::infinity(), 1.0};
+      buf[at + 1] = cplx{std::numeric_limits<double>::quiet_NaN(), 0.0};
+    }
+    if (c % 50 == 23) {  // products that take the Annex G recovery
+      const double inf = std::numeric_limits<double>::infinity();
+      const auto at = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(buf_len) - 1));
+      buf[at] = c % 100 == 23
+                    ? cplx{inf, -inf}
+                    : cplx{std::numeric_limits<double>::quiet_NaN(), inf};
+    }
+
+    // The receiver's estimate: the truth, perturbed.
+    LinkEstimate est0;
+    est0.params.h = truth.h * rng.uniform(0.8, 1.25) *
+                    std::polar(1.0, rng.uniform(-0.3, 0.3));
+    if (c % 31 == 5) est0.params.h = 1e-10 * rng.unit_phasor();  // |ĥ|² ≤ 1e-18
+    est0.params.freq_offset = truth.freq_offset + rng.uniform(-1e-4, 1e-4);
+    est0.params.mu = truth.mu + rng.uniform(-0.2, 0.2);
+    if (c % 17 == 0) est0.params.mu = 0.0;  // integer positions: odd windows
+    est0.params.drift = truth.drift;
+    est0.equalizer = random_equalizer(rng, static_cast<int>((c / 3) % 5));
+    est0.noise_var = rng.uniform(0.01, 2.0);
+    est0.noise_seeded = c % 2 == 0;
+
+    const auto k0 = static_cast<std::size_t>(
+        c % 4 == 0 ? 0 : rng.uniform_int(0, static_cast<std::int64_t>(len)));
+    const auto k1 = static_cast<std::size_t>(
+        rng.uniform_int(static_cast<std::int64_t>(k0),
+                        static_cast<std::int64_t>(len)));
+    const std::span<const SymbolSpec> specs{all.data() + k0, len - k0};
+
+    LinkEstimate want_est = est0;
+    const auto want = reference_chunk_decode(gains, half, buf, lead, k0, k1,
+                                             specs, want_est, backward);
+    const ChunkDecoder dec(gains, half);
+    for (const int width : {0, 4, 2}) {
+      sig::set_simd_width_for_test(width);
+      LinkEstimate got_est = est0;
+      const auto got = dec.decode(buf, lead, k0, k1, specs, got_est, backward);
+      sig::set_simd_width_for_test(0);
+      ASSERT_TRUE(same_decode(got, got_est, want, want_est))
+          << "config=" << c << " width=" << width << " len=" << len
+          << " k0=" << k0 << " k1=" << k1 << " block=" << gains.block
+          << " half=" << half << " backward=" << backward;
+    }
+  }
 }
 
 TEST(Receiver, NoiseFloorEstimate) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "zz/common/mathutil.h"
 #include "zz/common/rng.h"
@@ -11,6 +12,7 @@
 #include "zz/signal/fir.h"
 #include "zz/signal/interp.h"
 #include "zz/signal/scratch.h"
+#include "zz/signal/simd.h"
 
 #include "bit_equal.h"
 
@@ -144,11 +146,16 @@ TEST(Interp, BlockEvaluationMatchesPerSampleGolden) {
   Rng rng(5);
   for (std::size_t j = 0; j < 64; ++j) pos.push_back(rng.uniform(-8.0, 264.0));
   CVec batch(pos.size());
-  interp.at_batch(x, pos, batch.data());
-  for (std::size_t j = 0; j < pos.size(); ++j) {
-    const cplx ref = interp.at(x, pos[j]);
-    // Bit-identical by construction.
-    EXPECT_TRUE(test::bits_equal(batch[j], ref)) << "j=" << j;
+  for (const int width : {0, 2}) {  // SIMD dispatch, then the portable route
+    set_simd_width_for_test(width);
+    interp.at_batch(x, pos, batch.data());
+    set_simd_width_for_test(0);
+    for (std::size_t j = 0; j < pos.size(); ++j) {
+      const cplx ref = interp.at(x, pos[j]);
+      // Bit-identical by construction.
+      EXPECT_TRUE(test::bits_equal(batch[j], ref))
+          << "width=" << width << " j=" << j;
+    }
   }
 }
 
@@ -177,10 +184,46 @@ TEST(Interp, BatchWeightReuseMatchesPerPoint) {
     ASSERT_LT(pos.front(), 0.0);
     ASSERT_GT(pos.back(), static_cast<double>(x.size()));
     CVec batch(pos.size());
-    interp.at_batch(x, pos, batch.data());
-    for (std::size_t j = 0; j < pos.size(); ++j)
-      EXPECT_TRUE(test::bits_equal(batch[j], interp.at(x, pos[j])))
-          << "mu=" << run.mu << " drift=" << run.drift << " j=" << j;
+    for (const int width : {0, 2}) {
+      set_simd_width_for_test(width);
+      interp.at_batch(x, pos, batch.data());
+      set_simd_width_for_test(0);
+      for (std::size_t j = 0; j < pos.size(); ++j)
+        EXPECT_TRUE(test::bits_equal(batch[j], interp.at(x, pos[j])))
+            << "mu=" << run.mu << " drift=" << run.drift
+            << " width=" << width << " j=" << j;
+    }
+  }
+}
+
+TEST(Interp, CarriedWeightsMatchPerPoint) {
+  // Weights carried across at_batch calls — blocks of one position run,
+  // then another interpolator's — must give what at() gives. Integer
+  // positions have odd windows (the last tap sits on the window edge);
+  // Inf and NaN samples must come out of every route as at() has them.
+  CVec x = bandlimited(300);
+  x[120] = cplx{std::numeric_limits<double>::infinity(), 0.0};
+  x[161] = cplx{0.0, std::numeric_limits<double>::quiet_NaN()};
+  const SincInterpolator wide(8), narrow(3);
+  std::vector<double> pos;
+  for (std::size_t k = 0; k < 140; ++k)
+    pos.push_back((k / 20) % 2 == 0 ? static_cast<double>(2 * k)
+                                    : 4.0 + 2.0 * static_cast<double>(k) + 0.375);
+  for (const int width : {0, 2}) {
+    set_simd_width_for_test(width);
+    SincInterpolator::Weights carry;
+    for (const SincInterpolator* interp : {&wide, &narrow, &wide}) {
+      for (std::size_t k0 = 0; k0 < pos.size(); k0 += 13) {
+        const std::size_t n = std::min<std::size_t>(13, pos.size() - k0);
+        CVec out(n);
+        interp->at_batch(x, {pos.data() + k0, n}, out.data(), carry);
+        for (std::size_t j = 0; j < n; ++j)
+          EXPECT_TRUE(test::bits_equal(out[j], interp->at(x, pos[k0 + j])))
+              << "half=" << interp->half_width() << " width=" << width
+              << " j=" << k0 + j;
+      }
+    }
+    set_simd_width_for_test(0);
   }
 }
 
@@ -224,6 +267,20 @@ TEST(Interp, OutOfRangeReadsAreZero) {
   const CVec x(8, cplx{1.0, 0.0});
   EXPECT_NEAR(std::abs(interp.at(x, -100.0)), 0.0, 1e-12);
   EXPECT_NEAR(std::abs(interp.at(x, 100.0)), 0.0, 1e-12);
+  // NaN and far-off positions (a diverged link estimate's) read zeros on
+  // every route, without an out-of-range integer conversion (UBSan).
+  const std::vector<double> far = {std::numeric_limits<double>::quiet_NaN(),
+                                   1e300, -1e300, 0x1p62, -0x1p63, 3.5};
+  for (const int width : {0, 2}) {
+    set_simd_width_for_test(width);
+    CVec out(far.size());
+    interp.at_batch(x, far, out.data());
+    set_simd_width_for_test(0);
+    for (std::size_t j = 0; j + 1 < far.size(); ++j)
+      EXPECT_TRUE(test::bits_equal(out[j], cplx{0.0, 0.0}))
+          << "width=" << width << " t=" << far[j];
+    EXPECT_TRUE(test::bits_equal(out.back(), interp.at(x, 3.5)));
+  }
 }
 
 TEST(Correlate, SpikesAtEmbeddedReference) {

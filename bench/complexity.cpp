@@ -62,11 +62,16 @@ MultiScenario make_multi(Rng& rng, std::size_t n, std::size_t payload) {
   return s;
 }
 
+// Arg `refinement_passes` 0 times the decode without the §4.2.4 refinement
+// stage (link re-estimation plus clean re-decodes); the difference from 1
+// is that stage's cost.
 void BM_DecodeVsSenders(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(123 + n);
   auto s = make_multi(rng, n, 150);
-  const zigzag::ZigZagDecoder dec;
+  zigzag::DecodeOptions opt;
+  opt.refinement_passes = static_cast<int>(state.range(1));
+  const zigzag::ZigZagDecoder dec(opt);
   for (auto _ : state) {
     auto res = dec.decode({s.inputs.data(), s.inputs.size()}, s.profiles, n);
     benchmark::DoNotOptimize(res);
@@ -210,7 +215,7 @@ double bench_drift(const benchmark::State& state) {
 // filters the symbols through first (the simulator's shape); isi 0 renders
 // through the identity filter, as every receiver-side render does (the
 // decoder applies its ISI estimate when it builds the symbols). Arg deriv 1
-// renders add_signal_derivative, the timing tracker's image.
+// renders store_signal_derivative, the timing tracker's image.
 void BM_Render(benchmark::State& state) {
   Rng rng(55);
   const auto p = bench::make_party(
@@ -223,7 +228,7 @@ void BM_Render(benchmark::State& state) {
   CVec buf(2 * sym.size() + 128, cplx{0.0, 0.0});
   for (auto _ : state) {
     if (derivative)
-      chan::add_signal_derivative(buf, 32, sym, ch);
+      chan::store_signal_derivative(buf, 32, sym, ch);
     else
       chan::add_signal(buf, 32, sym, ch);
     benchmark::DoNotOptimize(buf.data());
@@ -314,7 +319,10 @@ void BM_MessagePassingPlan(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_DecodeVsSenders)->Arg(1)->Arg(2)->Arg(3)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DecodeVsSenders)
+    ->ArgNames({"senders", "refinement_passes"})
+    ->ArgsProduct({{1, 2, 3}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DecodeVsPayload)->Arg(100)->Arg(200)->Arg(400)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StandardDecode)->Arg(200)->Arg(400)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Fft)->Arg(256)->Arg(2048)->Unit(benchmark::kMicrosecond);

@@ -39,8 +39,9 @@ esac
 
 SUPP_DIR="$PWD/scripts/sanitizers"
 # Fast deterministic benches, cheap enough that 2-10x sanitizer overhead
-# still finishes inside the (scaled) budgets.
-SAN_BENCHES="error_propagation,fig_4_2_correlation,fig_5_2_tracking_isi,lemma_4_4_1_ack"
+# still finishes inside the (scaled) budgets. fig_5_6_loss_cdf is the one
+# that reaches the §4.2.4 link re-estimation (its timing-grid climb).
+SAN_BENCHES="error_propagation,fig_4_2_correlation,fig_5_2_tracking_isi,fig_5_6_loss_cdf,lemma_4_4_1_ack"
 SAN_WALL_SCALE=12
 
 # --- one sanitizer leg: configure, build, ctest, fast bench subset -------

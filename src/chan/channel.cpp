@@ -351,11 +351,14 @@ struct RunRing {
 
 /// Where a block's samples go: buf[offset + m] += sh·v[m]·rot[m] with
 /// sh = scale·ĥ, for every m with |v[m]|² ≥ 1e-24 that lands inside buf.
+/// A store sink first sets every sample of the block that lands inside buf
+/// to +0.0, so it leaves what adding into zeros would.
 struct Sink {
   cplx* buf;
   std::ptrdiff_t size;
   std::ptrdiff_t offset;
   cplx sh;
+  bool store;
 };
 
 /// Run r's exact lanes of the block at b, added into the accumulators.
@@ -377,12 +380,11 @@ __attribute__((always_inline)) inline void emit_lanes(
     const Sink& s, std::ptrdiff_t b, std::ptrdiff_t n, const double* ar,
     const double* ai, const double* rr, const double* ri) {
   for (std::ptrdiff_t j = 0; j < n; ++j) {
+    const std::ptrdiff_t out = s.offset + b + j;
+    if (out < 0 || out >= s.size) continue;
+    if (s.store) s.buf[out] = cplx{0.0, 0.0};
     const cplx v{ar[j], ai[j]};
-    if (std::norm(v) >= 1e-24) {
-      const std::ptrdiff_t out = s.offset + b + j;
-      if (out >= 0 && out < s.size)
-        s.buf[out] += s.sh * v * cplx{rr[j], ri[j]};
-    }
+    if (std::norm(v) >= 1e-24) s.buf[out] += s.sh * v * cplx{rr[j], ri[j]};
   }
 }
 
@@ -447,13 +449,21 @@ __attribute__((target("avx2"))) void block_avx2(const RunRing& rs,
   const __m256d shr = _mm256_set1_pd(s.sh.real());
   const __m256d shi = _mm256_set1_pd(s.sh.imag());
   const __m256d thr = _mm256_set1_pd(1e-24);
+  const __m256d zero = _mm256_setzero_pd();
   double* dst = reinterpret_cast<double*>(s.buf + out0);
   for (int q = 0; q < 4; ++q) {
+    double* d = dst + 8 * q;
     const __m256d vr = ar[q], vi = ai[q];
     const __m256d ok = _mm256_cmp_pd(
         _mm256_add_pd(_mm256_mul_pd(vr, vr), _mm256_mul_pd(vi, vi)), thr,
         _CMP_GE_OQ);
-    if (_mm256_movemask_pd(ok) == 0) continue;
+    if (_mm256_movemask_pd(ok) == 0) {
+      if (s.store) {
+        _mm256_storeu_pd(d, zero);
+        _mm256_storeu_pd(d + 4, zero);
+      }
+      continue;
+    }
     // (sh·v)·rot, each as (a·c - b·d, a·d + b·c).
     const __m256d tr =
         _mm256_sub_pd(_mm256_mul_pd(shr, vr), _mm256_mul_pd(shi, vi));
@@ -473,14 +483,14 @@ __attribute__((target("avx2"))) void block_avx2(const RunRing& rs,
       emit_lanes(s, b + 4 * q, 4, sr, si, rr + 4 * q, ri + 4 * q);
       continue;
     }
-    // Interleave to buf's (re, im) pairs; lanes below the floor keep buf.
+    // Interleave to buf's (re, im) pairs; lanes below the floor keep buf
+    // (+0.0 for a store).
     const __m256d lo = _mm256_unpacklo_pd(pr, pi);
     const __m256d hi = _mm256_unpackhi_pd(pr, pi);
     const __m256d mlo = _mm256_unpacklo_pd(ok, ok);
     const __m256d mhi = _mm256_unpackhi_pd(ok, ok);
-    double* d = dst + 8 * q;
-    const __m256d b0 = _mm256_loadu_pd(d);
-    const __m256d b1 = _mm256_loadu_pd(d + 4);
+    const __m256d b0 = s.store ? zero : _mm256_loadu_pd(d);
+    const __m256d b1 = s.store ? zero : _mm256_loadu_pd(d + 4);
     _mm256_storeu_pd(
         d, _mm256_blendv_pd(
                b0, _mm256_add_pd(b0, _mm256_permute2f128_pd(lo, hi, 0x20)),
@@ -494,10 +504,19 @@ __attribute__((target("avx2"))) void block_avx2(const RunRing& rs,
 }
 #endif
 
+/// Output samples [lo, hi) relative to the render's offset.
+struct Span {
+  std::ptrdiff_t lo = 0, hi = 0;
+};
+
+/// The render behind add_signal (store = false) and the store_signal pair
+/// (store = true). Returns the sample span its blocks visited: every m in
+/// it that lands inside buf was written, no other sample was touched.
 template <typename Kernel>
-void render(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
-            const ChannelParams& p, double scale, std::size_t hw_symbols) {
-  if (symbols.empty()) return;
+Span render(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
+            const ChannelParams& p, double scale, std::size_t hw_symbols,
+            bool store) {
+  if (symbols.empty()) return {};
   // Symbol times must not decrease with k (see channel.h).
   ZZ_CHECK(!(p.drift < -1.0)) << " drift " << p.drift;
   const double hw = static_cast<double>(hw_symbols) * kSps;
@@ -511,7 +530,7 @@ void render(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
   // spans only the samples those symbols can reach, not the whole packet.
   std::size_t k0 = 0;
   while (k0 < u.size() && std::norm(u[k0]) < 1e-24) ++k0;
-  if (k0 == u.size()) return;
+  if (k0 == u.size()) return {};
   std::size_t k1 = u.size();
   while (std::norm(u[k1 - 1]) < 1e-24) --k1;
 
@@ -526,7 +545,7 @@ void render(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
       std::max<std::ptrdiff_t>(0, static_cast<std::ptrdiff_t>(std::floor(t_first - hw)));
   const std::ptrdiff_t mend = std::min<std::ptrdiff_t>(
       rel_len, static_cast<std::ptrdiff_t>(std::floor(t_last + hw)) + 1);
-  if (mend <= mbase) return;
+  if (mend <= mbase) return {};
 
   const double du = kPi / kSps;   // per-sample phase step of the sinc factor
   const double dwv = kPi / hw;    // per-sample phase step of the Hann factor
@@ -628,7 +647,7 @@ void render(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
   constexpr std::ptrdiff_t kAnchor = 4096;  // blocks start on every anchor
   static_assert(kAnchor % kBlock == 0);
   const Sink sink{buf.data(), static_cast<std::ptrdiff_t>(buf.size()), offset,
-                  scale * p.h};
+                  scale * p.h, store};
   alignas(32) double rr[kBlock] = {}, ri[kBlock] = {};
 
   for (std::ptrdiff_t b = mbase; b < mend; b += kBlock) {
@@ -681,6 +700,16 @@ void render(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
 #endif
       block_portable(live_runs, b, n, sink, rr, ri);
   }
+  return {mbase, mend};
+}
+
+/// Zero the samples of buf outside the span a store render wrote.
+void zero_outside(CVec& buf, std::ptrdiff_t offset, Span s) {
+  const auto size = static_cast<std::ptrdiff_t>(buf.size());
+  const std::ptrdiff_t a = std::clamp<std::ptrdiff_t>(offset + s.lo, 0, size);
+  const std::ptrdiff_t e = std::clamp<std::ptrdiff_t>(offset + s.hi, a, size);
+  std::fill(buf.begin(), buf.begin() + a, cplx{0.0, 0.0});
+  std::fill(buf.begin() + e, buf.end(), cplx{0.0, 0.0});
 }
 
 }  // namespace
@@ -725,14 +754,24 @@ ChannelParams retransmission_channel(Rng& rng, const ChannelParams& first,
 void add_signal(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
                 const ChannelParams& p, double scale,
                 std::size_t interp_half_width) {
-  render<ValuePulse>(buf, offset, symbols, p, scale, interp_half_width);
+  render<ValuePulse>(buf, offset, symbols, p, scale, interp_half_width, false);
 }
 
-void add_signal_derivative(CVec& buf, std::ptrdiff_t offset,
-                           const CVec& symbols, const ChannelParams& p,
-                           std::size_t interp_half_width) {
+void store_signal(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
+                  const ChannelParams& p, double scale,
+                  std::size_t interp_half_width) {
+  zero_outside(buf, offset,
+               render<ValuePulse>(buf, offset, symbols, p, scale,
+                                  interp_half_width, true));
+}
+
+void store_signal_derivative(CVec& buf, std::ptrdiff_t offset,
+                             const CVec& symbols, const ChannelParams& p,
+                             std::size_t interp_half_width) {
   // d/dμ of pulse(m - tk) with tk = kSps·k(1+drift) + μ is -pulse'(m - tk).
-  render<DerivativePulse>(buf, offset, symbols, p, -1.0, interp_half_width);
+  zero_outside(buf, offset,
+               render<DerivativePulse>(buf, offset, symbols, p, -1.0,
+                                       interp_half_width, true));
 }
 
 CVec clean_reception(Rng& rng, const CVec& symbols, const ChannelParams& p,

@@ -113,13 +113,23 @@ void add_signal(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
                 const ChannelParams& p, double scale = 1.0,
                 std::size_t interp_half_width = 8);
 
-/// Same as add_signal (weight reuse included) but renders the
+/// add_signal into a buffer that starts all +0.0, without clearing it
+/// first: every sample of `buf` ends bit-for-bit as that render leaves it
+/// (its -0.0, Inf and NaN included). The render writes 0.0 + product where
+/// it would add, +0.0 where it would skip a sample below the 1e-24 floor,
+/// and zero-fills only the samples of buf outside the span its blocks
+/// visit.
+void store_signal(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
+                  const ChannelParams& p, double scale = 1.0,
+                  std::size_t interp_half_width = 8);
+
+/// Same as store_signal (weight reuse included) but renders the
 /// time-derivative of the signal with respect to the sampling offset μ.
 /// Used by the receiver's timing tracker: a residual sampling error δμ
 /// shows up as δμ · d(image)/dμ.
-void add_signal_derivative(CVec& buf, std::ptrdiff_t offset,
-                           const CVec& symbols, const ChannelParams& p,
-                           std::size_t interp_half_width = 8);
+void store_signal_derivative(CVec& buf, std::ptrdiff_t offset,
+                             const CVec& symbols, const ChannelParams& p,
+                             std::size_t interp_half_width = 8);
 
 /// Convenience: render a whole clean reception (signal + AWGN of unit power
 /// scaled by `noise_power`), with `lead` noise-only samples before the

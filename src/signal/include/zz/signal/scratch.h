@@ -44,11 +44,14 @@ class ScratchArena {
   static constexpr std::size_t kMaxSlots = 256;
 
   /// Complex buffer for `slot`, resized to n. Contents are stale — callers
-  /// that need zeros should use czero().
+  /// that need zeros should use czero(). A slot's capacity grows to exactly
+  /// the largest n asked of it, not by the vector's doubling, so a slot
+  /// asked for varying sizes holds no more than its largest.
   CVec& cvec(std::size_t slot, std::size_t n) {
     ZZ_DCHECK_LT(slot, kMaxSlots);
     [[maybe_unused]] const ConfinementGuard guard(*this);
     while (c_.size() <= slot) c_.emplace_back();
+    c_[slot].reserve(n);
     c_[slot].resize(n);
     return c_[slot];
   }
@@ -62,11 +65,13 @@ class ScratchArena {
     return c_[slot];
   }
 
-  /// Real buffer for `slot`, resized to n (contents stale).
+  /// Real buffer for `slot`, resized to n (contents stale; capacity as
+  /// for cvec).
   std::vector<double>& dvec(std::size_t slot, std::size_t n) {
     ZZ_DCHECK_LT(slot, kMaxSlots);
     [[maybe_unused]] const ConfinementGuard guard(*this);
     while (d_.size() <= slot) d_.emplace_back();
+    d_[slot].reserve(n);
     d_[slot].resize(n);
     return d_[slot];
   }

@@ -18,6 +18,7 @@
 #include "zz/phy/tracker.h"
 #include "zz/phy/transmitter.h"
 #include "zz/signal/scratch.h"
+#include "zz/zigzag/grid_climb.h"
 
 namespace zz::zigzag {
 
@@ -567,26 +568,20 @@ class Engine {
     return opt_.reconstruction_tracking ? l.est : l.initial;
   }
 
-  // Render the image of p's symbols [k0,k1) as received in collision c into
-  // the window buffer `img` (img[i] = sample w.s0 + i). The symbol range is
-  // re-based so the synthesis cost scales with the chunk, not the packet:
-  // an integer sample shift of kSps·k0 folds into the buffer offset, its
-  // drift contribution into μ and its carrier rotation into ĥ.
+  // Render the image of p's symbols [k0,k1) as received in collision c (or,
+  // with `derivative`, its derivative with respect to μ) into the window
+  // buffer `img` (img[i] = sample w.s0 + i), from their ISI-filtered symbol
+  // stream `u` (see render_u): one stream serves every render of the same
+  // range, whatever μ̂ and ĥ. The symbol range is re-based so the synthesis
+  // cost scales with the chunk, not the packet: an integer sample shift of
+  // kSps·k0 folds into the buffer offset, its drift contribution into μ and
+  // its carrier rotation into ĥ.
   Window render_image(std::size_t p, std::size_t c, std::size_t k0,
-                      std::size_t k1, CVec& img) const {
-    render_u(p, c, k0, k1, u_scratch_);
-    return render_image_from_u(p, c, k0, k1, u_scratch_, img);
-  }
-
-  // Same, from an already-rendered ISI-filtered symbol stream `u` (see
-  // render_u). The full-packet re-estimation scan renders the same symbol
-  // stream at many candidate timings; hoisting the (μ-independent) ISI
-  // stage out of that loop renders it once instead of once per candidate.
-  Window render_image_from_u(std::size_t p, std::size_t c, std::size_t k0,
-                             std::size_t k1, const CVec& u, CVec& img) const {
+                      std::size_t k1, const CVec& u, CVec& img,
+                      bool derivative = false) const {
     const Link& l = links_[p][c];
     const Window w = image_window(p, c, k0, k1);
-    img.assign(w.size(), cplx{0.0, 0.0});
+    img.resize(w.size());
     if (w.s1 <= w.s0) return w;
 
     chan::ChannelParams params = tracked(l).params;
@@ -596,30 +591,13 @@ class Engine {
     params.mu += static_cast<double>(shift) * params.drift;
     const double phi = kTwoPi * params.freq_offset * static_cast<double>(shift);
     params.h *= cplx{std::cos(phi), std::sin(phi)};
-    chan::add_signal(img, l.origin + shift - w.s0, u, params, 1.0,
-                     opt_.interp_half_width);
-    return w;
-  }
-
-  // Same re-basing for the timing-derivative image.
-  Window render_image_derivative(std::size_t p, std::size_t c, std::size_t k0,
-                                 std::size_t k1, CVec& dimg) const {
-    const Link& l = links_[p][c];
-    const Window w = image_window(p, c, k0, k1);
-    dimg.assign(w.size(), cplx{0.0, 0.0});
-    if (w.s1 <= w.s0) return w;
-
-    render_u(p, c, k0, k1, u_scratch_);
-
-    chan::ChannelParams params = tracked(l).params;
-    params.isi = sig::Fir();
-    const auto shift = static_cast<std::ptrdiff_t>(
-        std::llround(chan::kSps * static_cast<double>(k0)));
-    params.mu += static_cast<double>(shift) * params.drift;
-    const double phi = kTwoPi * params.freq_offset * static_cast<double>(shift);
-    params.h *= cplx{std::cos(phi), std::sin(phi)};
-    chan::add_signal_derivative(dimg, l.origin + shift - w.s0, u_scratch_,
-                                params, opt_.interp_half_width);
+    // The store renders overwrite the whole window, as adding into zeros would.
+    if (derivative)
+      chan::store_signal_derivative(img, l.origin + shift - w.s0, u, params,
+                                    opt_.interp_half_width);
+    else
+      chan::store_signal(img, l.origin + shift - w.s0, u, params, 1.0,
+                         opt_.interp_half_width);
     return w;
   }
 
@@ -629,8 +607,9 @@ class Engine {
   // true when the link estimate was actually updated — callers re-render
   // the image only then (a bailed-out projection leaves the estimate, and
   // therefore the image, untouched).
-  bool project_refine(std::size_t p, std::size_t c, const CVec& img,
-                      const Window& w, std::size_t k0, std::size_t k1) {
+  bool project_refine(std::size_t p, std::size_t c, const CVec& u,
+                      const CVec& img, const Window& w, std::size_t k0,
+                      std::size_t k1) {
     if (!opt_.reconstruction_tracking) return false;
     Link& l = links_[p][c];
     // Only trust the projection when the region is mostly this packet.
@@ -672,7 +651,7 @@ class Engine {
 
     // Sampling offset: project onto the timing derivative of the image.
     CVec& dimg = arena_.cvec(kSlotDImg, 0);
-    const Window dw = render_image_derivative(p, c, k0, k1, dimg);
+    const Window dw = render_image(p, c, k0, k1, u, dimg, /*derivative=*/true);
     double tn = 0.0, td = 0.0;
     for (std::size_t i = 0; i < dimg.size(); ++i) {
       if (std::norm(dimg[i]) < 1e-12) continue;
@@ -694,10 +673,13 @@ class Engine {
                       std::size_t k1) {
     Link& l = links_[p][c];
     if (!l.present) return;
+    // The symbol stream does not depend on the estimate project_refine
+    // updates, so one stream serves both renders and the derivative.
+    render_u(p, c, k0, k1, u_scratch_);
     CVec& img = arena_.cvec(kSlotImg, 0);
-    Window w = render_image(p, c, k0, k1, img);
-    if (project_refine(p, c, img, w, k0, k1))
-      w = render_image(p, c, k0, k1, img);  // re-render with refined estimate
+    Window w = render_image(p, c, k0, k1, u_scratch_, img);
+    if (project_refine(p, c, u_scratch_, img, w, k0, k1))
+      w = render_image(p, c, k0, k1, u_scratch_, img);  // refined estimate
     auto& acct = imgs_[p][c];
     if (acct.empty()) acct.assign(residual_[c].size(), cplx{0.0, 0.0});
     // image_window clamps to the buffer; the subtraction below relies on it.
@@ -992,7 +974,9 @@ class Engine {
           static_cast<double>(k0), static_cast<double>(pk.len)));
       if (k1 > k0 + 16) {
         CVec& dimg = arena_.cvec(kSlotDImg, 0);
-        const Window dw = render_image_derivative(q, c, k0, k1, dimg);
+        render_u(q, c, k0, k1, u_scratch_);
+        const Window dw =
+            render_image(q, c, k0, k1, u_scratch_, dimg, /*derivative=*/true);
         double tn = 0.0, td = 0.0;
         for (std::size_t i = 0; i < dimg.size(); ++i) {
           if (std::norm(dimg[i]) < 1e-12) continue;
@@ -1251,55 +1235,71 @@ class Engine {
   // symbol ends up with one soft estimate per collision, MRC-combined in
   // finalize(): this is where "every bit is received twice" pays out.
   // Data-aided re-estimation of one link: with the packet's symbols known,
-  // the whole packet acts as a giant preamble. Scan the sampling offset,
-  // project for the complex gain, and fit the residual frequency from the
-  // phase slope across the packet — processing gain makes these estimates
-  // far better than what a buried 32-symbol preamble could give (§4.2.4
-  // generalized to reconstructed images).
+  // the whole packet acts as a giant preamble. Search the sampling offset
+  // over the grid μ₀ + 0.15·i, i = -3..3, project for the complex gain, and
+  // fit the residual frequency from the phase slope across the packet —
+  // processing gain makes these estimates far better than what a buried
+  // 32-symbol preamble could give (§4.2.4 generalized to reconstructed
+  // images). The matched-filter score has one peak over the grid, so a
+  // hill-climb (zz/zigzag/grid_climb.h) finds the full scan's best index
+  // with 3 to 5 full-packet renders instead of 7; a parabola through the
+  // best point and its neighbours refines the step.
   void reestimate_link(std::size_t p, std::size_t c, const CVec& u_full) {
     Link& l = links_[p][c];
     if (!l.present || !opt_.reconstruction_tracking) return;
     const PacketCtx& pk = pkts_[p];
     ZZ_DCHECK_EQ(u_full.size(), pk.len);  // full-packet symbol stream
 
-    CVec& view = arena_.cvec(kSlotEstView, residual_[c].size());
-    std::copy(residual_[c].begin(), residual_[c].end(), view.begin());
+    const double mu0 = l.est.params.mu;
+    const double step = 0.15;
+    constexpr int kHalf = detail::kGridHalf;
+    // The add-back view (residual plus this link's image account) spans
+    // the union of the image windows over the grid: windows move
+    // monotonically with μ, and every μ tried below lies inside the grid.
+    l.est.params.mu = mu0 + step * -kHalf;
+    const std::ptrdiff_t v0 = image_window(p, c, 0, pk.len).s0;
+    l.est.params.mu = mu0 + step * kHalf;
+    const std::ptrdiff_t v1 = image_window(p, c, 0, pk.len).s1;
+    CVec& view = arena_.cvec(kSlotEstView, static_cast<std::size_t>(v1 - v0));
     {
       const auto& acct = imgs_[p][c];
-      if (!acct.empty())
-        for (std::size_t n = 0; n < view.size(); ++n) view[n] += acct[n];
+      for (std::ptrdiff_t n = v0; n < v1; ++n) {
+        const auto u = static_cast<std::size_t>(n);
+        view[u - static_cast<std::size_t>(v0)] =
+            acct.empty() ? residual_[c][u] : residual_[c][u] + acct[u];
+      }
     }
+    // The view from sample w.s0 on, for an image window w inside it.
+    const auto view_from = [&](const Window& w) {
+      ZZ_DCHECK(w.s0 >= v0 && w.s1 <= v1);
+      return view.data() + (w.s0 - v0);
+    };
 
-    const double mu0 = l.est.params.mu;
-    double best_score = -1.0, best_dmu = 0.0;
-    cplx best_corr{1.0, 0.0};
-    std::vector<double> scores;
-    const double step = 0.15;
+    std::array<cplx, 2 * kHalf + 1> corr;
     CVec& img = arena_.cvec(kSlotEstImg, 0);
-    for (int i = -3; i <= 3; ++i) {
-      const double dmu = step * i;
-      l.est.params.mu = mu0 + dmu;
-      const Window w = render_image_from_u(p, c, 0, pk.len, u_full, img);
+    const detail::GridClimb climb = detail::climb_grid([&](int i) {
+      l.est.params.mu = mu0 + step * i;
+      const cplx* vw = view_from(render_image(p, c, 0, pk.len, u_full, img));
       cplx num{0.0, 0.0};
       double den = 0.0;
       for (std::size_t j = 0; j < img.size(); ++j) {
         if (std::norm(img[j]) < 1e-12) continue;
-        num += std::conj(img[j]) * view[static_cast<std::size_t>(w.s0) + j];
+        num += std::conj(img[j]) * vw[j];
         den += std::norm(img[j]);
       }
-      const double score = den > 1e-9 ? std::abs(num) / std::sqrt(den) : 0.0;
-      scores.push_back(score);
-      if (score > best_score) {
-        best_score = score;
-        best_dmu = dmu;
-        best_corr = den > 1e-9 ? num / den : cplx{1.0, 0.0};
-      }
-    }
+      corr[static_cast<std::size_t>(i + kHalf)] =
+          den > 1e-9 ? num / den : cplx{1.0, 0.0};
+      return den > 1e-9 ? std::abs(num) / std::sqrt(den) : 0.0;
+    });
+    double best_dmu = step * climb.best;
+    const cplx best_corr =
+        climb.found ? corr[static_cast<std::size_t>(climb.best + kHalf)]
+                    : cplx{1.0, 0.0};
     // Parabolic touch-up between grid points.
-    const auto bi = static_cast<std::size_t>(std::lround(best_dmu / step) + 3);
-    ZZ_DCHECK_LT(bi, scores.size());  // best_dmu came from the scan grid
-    if (bi > 0 && bi + 1 < scores.size()) {
-      const double ym = scores[bi - 1], y0 = scores[bi], yp = scores[bi + 1];
+    if (std::abs(climb.best) < kHalf) {
+      const auto bi = static_cast<std::size_t>(climb.best + kHalf);
+      const double ym = climb.scores[bi - 1], y0 = climb.scores[bi],
+                   yp = climb.scores[bi + 1];
       const double d = ym - 2.0 * y0 + yp;
       if (std::abs(d) > 1e-12)
         best_dmu += step * std::clamp(0.5 * (ym - yp) / d, -0.5, 0.5);
@@ -1309,7 +1309,8 @@ class Engine {
       l.est.params.h *= best_corr;
 
     // Residual frequency from the phase slope between the packet halves.
-    const Window w = render_image_from_u(p, c, 0, pk.len, u_full, img);
+    const Window w = render_image(p, c, 0, pk.len, u_full, img);
+    const cplx* vw = view_from(w);
     cplx g[2] = {cplx{0.0, 0.0}, cplx{0.0, 0.0}};
     double t[2] = {0.0, 0.0}, e[2] = {0.0, 0.0};
     const double mid =
@@ -1319,7 +1320,7 @@ class Engine {
       if (std::norm(img[j]) < 1e-12) continue;
       const auto n = static_cast<std::size_t>(w.s0) + j;
       const int half = static_cast<double>(n) < mid ? 0 : 1;
-      g[half] += std::conj(img[j]) * view[n];
+      g[half] += std::conj(img[j]) * vw[j];
       t[half] += std::norm(img[j]) * static_cast<double>(n);
       e[half] += std::norm(img[j]);
     }
@@ -1349,7 +1350,7 @@ class Engine {
         Link& l = links_[p][c];
         if (!l.present || imgs_[p][c].empty()) continue;
         // The ISI-filtered symbol stream is μ/ĥ-independent: render it once
-        // and share it across the re-estimation scan and the fresh image.
+        // and share it across the re-estimation climb and the fresh image.
         CVec& u_full = arena_.cvec(kSlotEstU, 0);
         render_u(p, c, 0, pk.len, u_full);
         reestimate_link(p, c, u_full);
@@ -1357,7 +1358,7 @@ class Engine {
         // the final estimates. The old account can extend (slightly) past
         // the fresh window when μ̂ moved, so clear it everywhere.
         CVec& fresh = arena_.cvec(kSlotEstImg, 0);
-        const Window w = render_image_from_u(p, c, 0, pk.len, u_full, fresh);
+        const Window w = render_image(p, c, 0, pk.len, u_full, fresh);
         auto& acct = imgs_[p][c];
         for (std::size_t n = 0; n < acct.size(); ++n) {
           residual_[c][n] += acct[n];
@@ -1577,7 +1578,7 @@ class Engine {
   /// arena by contract, so cross-engine reuse only recycles capacity.
   mutable sig::ScratchArena own_arena_;
   sig::ScratchArena& arena_;
-  mutable CVec u_scratch_;  ///< render_u output inside render_image*
+  CVec u_scratch_;  ///< render_u output for chunk renders
   std::size_t chunks_ = 0;
   std::size_t stalls_ = 0;
 };

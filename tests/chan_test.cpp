@@ -131,7 +131,7 @@ void reference_render(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
   }
 }
 
-/// reference_render in add_signal / add_signal_derivative form.
+/// reference_render in add_signal / store_signal_derivative form.
 void reference_add(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
                    const ChannelParams& p, double scale, std::size_t half,
                    bool derivative) {
@@ -143,12 +143,15 @@ void reference_add(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
 }
 
 /// The production render at SIMD width cap `width` (0 = CPU dispatch).
+/// `store` picks store_signal; the derivative render is a store only.
 void production_add(CVec& buf, std::ptrdiff_t offset, const CVec& symbols,
                     const ChannelParams& p, double scale, std::size_t half,
-                    bool derivative, int width) {
+                    bool derivative, int width, bool store = false) {
   sig::set_simd_width_for_test(width);
   if (derivative)
-    add_signal_derivative(buf, offset, symbols, p, half);
+    store_signal_derivative(buf, offset, symbols, p, half);
+  else if (store)
+    store_signal(buf, offset, symbols, p, scale, half);
   else
     add_signal(buf, offset, symbols, p, scale, half);
   sig::set_simd_width_for_test(0);
@@ -238,7 +241,7 @@ TEST(Channel, DerivativeMatchesFiniteDifference) {
   p.mu = 0.1;
   const double eps = 1e-5;
   CVec d(200, cplx{}), hi(200, cplx{}), lo(200, cplx{});
-  add_signal_derivative(d, 4, x, p);
+  store_signal_derivative(d, 4, x, p);
   ChannelParams pp = p, pm = p;
   pp.mu += eps;
   pm.mu -= eps;
@@ -340,7 +343,9 @@ TEST(Channel, RenderMatchesReferenceOnSeededConfigurations) {
   // scale of either sign, value and derivative renders, packets long
   // enough to re-anchor the carrier rotor, and Inf and NaN symbols. The
   // buffer starts with random samples and signed zeros, so untouched
-  // samples are checked too.
+  // samples are checked too. The store renders (the only form of the
+  // derivative render) start from the same buffer and must leave what the
+  // reference leaves in an all-+0.0 one.
   Rng rng(2008);
   constexpr int kConfigs = 3000;
   for (int c = 0; c < kConfigs; ++c) {
@@ -401,14 +406,22 @@ TEST(Channel, RenderMatchesReferenceOnSeededConfigurations) {
 
     CVec ref = init;
     reference_add(ref, offset, x, p, scale, half, derivative);
+    CVec ref_store(init.size(), cplx{0.0, 0.0});
+    reference_add(ref_store, offset, x, p, scale, half, derivative);
     for (const int width : {0, 1, 2, 4}) {
-      CVec got = init;
-      production_add(got, offset, x, p, scale, half, derivative, width);
-      for (std::size_t i = 0; i < got.size(); ++i)
-        ASSERT_TRUE(test::bits_equal(ref[i], got[i]))
-            << "config=" << c << " width=" << width << " n=" << n
-            << " half=" << half << " derivative=" << derivative
-            << " drift=" << p.drift << " offset=" << offset << " i=" << i;
+      for (const bool store : {false, true}) {
+        if (derivative && !store) continue;
+        CVec got = init;
+        production_add(got, offset, x, p, scale, half, derivative, width,
+                       store);
+        const CVec& want = store ? ref_store : ref;
+        for (std::size_t i = 0; i < got.size(); ++i)
+          ASSERT_TRUE(test::bits_equal(want[i], got[i]))
+              << "config=" << c << " width=" << width << " store=" << store
+              << " n=" << n << " half=" << half
+              << " derivative=" << derivative << " drift=" << p.drift
+              << " offset=" << offset << " i=" << i;
+      }
     }
   }
 }

@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -19,6 +23,7 @@
 #include "zz/phy/transmitter.h"
 #include "zz/zigzag/decoder.h"
 #include "zz/zigzag/detector.h"
+#include "zz/zigzag/grid_climb.h"
 #include "zz/zigzag/matcher.h"
 #include "zz/zigzag/receiver.h"
 #include "zz/zigzag/scheduler.h"
@@ -1112,6 +1117,198 @@ TEST(Receiver, UnrelatedCollisionsNotMatched) {
   const auto out = receiver.receive(s2.c1.samples);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(receiver.pending_collisions(), 2u);
+}
+
+// ------------------------------------------------- §4.2.4 timing-grid climb
+
+using Profile = std::array<double, 2 * detail::kGridHalf + 1>;
+
+struct ScanResult {
+  int best = 0;
+  bool found = false;
+};
+
+/// The golden: the full 7-point scan over the link re-estimation's grid, in
+/// ascending i, strict `>` against a running best that starts at -1, so the
+/// lowest i among equal maxima wins and a NaN never does. With no winner the
+/// offset stays at i = 0.
+ScanResult reference_scan_argmax(const Profile& scores) {
+  ScanResult r;
+  double best_score = -1.0;
+  for (int i = -detail::kGridHalf; i <= detail::kGridHalf; ++i) {
+    const double score = scores[static_cast<std::size_t>(i + detail::kGridHalf)];
+    if (score > best_score) {
+      best_score = score;
+      r.best = i;
+      r.found = true;
+    }
+  }
+  return r;
+}
+
+/// Rises strictly to its peak, then never rises again: the profiles on
+/// which the climb must return the scan's index.
+bool single_peaked(const Profile& s) {
+  for (const double v : s)
+    if (std::isnan(v)) return false;
+  std::size_t m = 0;
+  while (m + 1 < s.size() && s[m] < s[m + 1]) ++m;
+  for (std::size_t i = m; i + 1 < s.size(); ++i)
+    if (s[i] < s[i + 1]) return false;
+  return true;
+}
+
+struct Climbed {
+  detail::GridClimb r;
+  std::array<int, 2 * detail::kGridHalf + 1> evals{};  ///< calls per index
+  int calls = 0;
+};
+
+Climbed climb(const Profile& s) {
+  Climbed c;
+  c.r = detail::climb_grid([&](int i) {
+    const auto k = static_cast<std::size_t>(i + detail::kGridHalf);
+    ++c.evals[k];
+    ++c.calls;
+    return s[k];
+  });
+  return c;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// What holds on every profile: each index is evaluated at most once, 3 to
+/// 5 times in all, the scores the climb hands back are the profile's, the
+/// neighbours of an interior winner are among them, and a NaN never wins.
+void expect_climb_contract(const Profile& s, const Climbed& c, int id) {
+  ASSERT_GE(c.calls, 3) << id;
+  ASSERT_LE(c.calls, 5) << id;
+  for (std::size_t k = 0; k < s.size(); ++k) {
+    ASSERT_LE(c.evals[k], 1) << id;
+    if (c.evals[k] == 1) {
+      ASSERT_TRUE(same_bits(c.r.scores[k], s[k])) << id;
+    }
+  }
+  const auto bk = static_cast<std::size_t>(c.r.best + detail::kGridHalf);
+  ASSERT_EQ(c.evals[bk], 1) << id;
+  if (std::abs(c.r.best) < detail::kGridHalf) {
+    ASSERT_EQ(c.evals[bk - 1], 1) << id;
+    ASSERT_EQ(c.evals[bk + 1], 1) << id;
+  }
+  if (c.r.found) {
+    ASSERT_FALSE(std::isnan(s[bk])) << id;
+  } else {
+    ASSERT_EQ(c.r.best, 0) << id;
+  }
+}
+
+TEST(GridClimb, MatchesReferenceScanOnSinglePeakedProfiles) {
+  // 120,000 seeded single-peaked profiles: the peak at every index (both
+  // edges included), plateaus and ties at and after the peak, all-zero
+  // profiles (den <= 1e-9 scores 0), integer-valued and continuous scores
+  // over many magnitudes. The climb's index, whether it found one, and the
+  // three scores the parabola reads must all be the scan's, exactly.
+  Rng rng(4242);
+  constexpr int kProfiles = 120000;
+  int compared = 0, all_zero = 0, plateau = 0, edge = 0;
+  for (int id = 0; id < kProfiles; ++id) {
+    Profile s{};
+    if (id % 50 != 0) {
+      const auto m = static_cast<std::size_t>(rng.uniform_int(0, 6));
+      const bool integer = rng.chance(0.5);
+      const double scale = std::ldexp(1.0, static_cast<int>(rng.uniform_int(-30, 30)));
+      s[m] = integer ? static_cast<double>(rng.uniform_int(7, 12))
+                     : rng.uniform(5.0, 10.0);
+      for (std::size_t i = m; i-- > 0;)
+        s[i] = s[i + 1] - (integer ? static_cast<double>(rng.uniform_int(1, 2))
+                                   : rng.uniform(1e-3, 1.0));
+      for (std::size_t i = m + 1; i < s.size(); ++i)
+        s[i] = rng.chance(0.3)
+                   ? s[i - 1]
+                   : s[i - 1] - (integer ? static_cast<double>(rng.uniform_int(1, 2))
+                                         : rng.uniform(1e-3, 1.0));
+      for (auto& v : s) v = std::max(0.0, v) * scale;  // exact: power of 2
+    }
+    if (!single_peaked(s)) continue;  // a score clamped at 0 left of the peak
+    const ScanResult ref = reference_scan_argmax(s);
+    const Climbed c = climb(s);
+    expect_climb_contract(s, c, id);
+    ASSERT_EQ(c.r.best, ref.best) << "profile " << id;
+    ASSERT_EQ(c.r.found, ref.found) << "profile " << id;
+    const auto bk = static_cast<std::size_t>(ref.best + detail::kGridHalf);
+    if (std::abs(ref.best) < detail::kGridHalf) {
+      for (std::size_t k = bk - 1; k <= bk + 1; ++k)
+        ASSERT_TRUE(same_bits(c.r.scores[k], s[k])) << "profile " << id;
+    }
+    ++compared;
+    all_zero += s == Profile{};
+    plateau += bk + 1 < s.size() && s[bk] == s[bk + 1];
+    edge += std::abs(ref.best) == detail::kGridHalf;
+  }
+  EXPECT_GE(compared, 100000);
+  EXPECT_GT(all_zero, 1000);
+  EXPECT_GT(plateau, 10000);
+  EXPECT_GT(edge, 10000);
+}
+
+TEST(GridClimb, NaNNeverWinsOnEitherRoute) {
+  // 40,000 profiles with NaN scores at random indices (all seven in some).
+  Rng rng(4243);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  int all_nan = 0;
+  for (int id = 0; id < 40000; ++id) {
+    Profile s;
+    for (auto& v : s) v = rng.chance(0.5) ? nan : rng.uniform(0.0, 4.0);
+    if (id % 20 == 0) s.fill(nan);
+    const ScanResult ref = reference_scan_argmax(s);
+    const auto rk = static_cast<std::size_t>(ref.best + detail::kGridHalf);
+    if (ref.found) {
+      ASSERT_FALSE(std::isnan(s[rk])) << id;
+    } else {
+      ASSERT_EQ(ref.best, 0) << id;
+    }
+    const Climbed c = climb(s);
+    expect_climb_contract(s, c, id);
+    // The climb gives up only when its first three scores are all NaN.
+    const bool centre_nan =
+        std::isnan(s[2]) && std::isnan(s[3]) && std::isnan(s[4]);
+    ASSERT_EQ(c.r.found, !centre_nan) << id;
+    all_nan += !ref.found;
+  }
+  EXPECT_GT(all_nan, 1000);
+}
+
+TEST(GridClimb, StopsAtALocalMaximumOnAnyProfile) {
+  // 60,000 arbitrary profiles, most with more than one peak: the climb may
+  // miss the global maximum, but its winner is never beaten by a neighbour
+  // in the scan's order (score, then lower index).
+  Rng rng(4244);
+  int multi_peak = 0;
+  for (int id = 0; id < 60000; ++id) {
+    Profile s;
+    const bool coarse = rng.chance(0.5);  // small alphabet: many ties
+    for (auto& v : s)
+      v = coarse ? static_cast<double>(rng.uniform_int(0, 3)) : rng.uniform(0.0, 1.0);
+    const Climbed c = climb(s);
+    expect_climb_contract(s, c, id);
+    ASSERT_TRUE(c.r.found) << id;
+    const int b = c.r.best;
+    const auto bk = static_cast<std::size_t>(b + detail::kGridHalf);
+    if (b > -detail::kGridHalf) {
+      ASSERT_FALSE(detail::grid_beats(s[bk - 1], b - 1, s[bk], b)) << id;
+    }
+    if (b < detail::kGridHalf) {
+      ASSERT_FALSE(detail::grid_beats(s[bk + 1], b + 1, s[bk], b)) << id;
+    }
+    if (single_peaked(s)) {
+      ASSERT_EQ(b, reference_scan_argmax(s).best) << id;
+    } else {
+      ++multi_peak;
+    }
+  }
+  EXPECT_GT(multi_peak, 30000);
 }
 
 }  // namespace

@@ -7,10 +7,10 @@
 // identical no matter how many worker threads run (ZZ_THREADS / hardware
 // concurrency) — and every β of the detector sweep scores the SAME
 // scenario set, which is what makes the tradeoff rows comparable.
+#include <atomic>
 #include <cstdio>
 
 #include "bench_util.h"
-#include "zz/common/atomic.h"
 #include "zz/common/table.h"
 #include "zz/common/thread_pool.h"
 #include "zz/zigzag/detector.h"
@@ -27,7 +27,7 @@ constexpr std::size_t kNumBetas = sizeof(kBetas) / sizeof(kBetas[0]);
 double success_rate(std::uint64_t seed, std::size_t pairs, std::size_t payload,
                     double snr_db, const zigzag::DecodeOptions& opt,
                     double isi_strength = 0.15) {
-  Atomic<std::size_t> good{0};
+  std::atomic<std::size_t> good{0};
   ThreadPool::shared().parallel_for(pairs, [&](std::size_t i) {
     Rng rng(shard_seed(seed, i));
     const zigzag::ZigZagDecoder dec(opt);
@@ -55,7 +55,7 @@ int main() {
   // clean packets"). Per §5.3(a) neither error kind produces incorrect
   // decoding — FPs cost computation, FNs cost missed opportunities.
   const std::size_t dets = bench::scaled(300);
-  Atomic<std::size_t> fp[kNumBetas], fn[kNumBetas];
+  std::atomic<std::size_t> fp[kNumBetas]{}, fn[kNumBetas]{};
   ThreadPool::shared().parallel_for(dets, [&](std::size_t i) {
     Rng rng(shard_seed(51, i));
     const double snr = rng.uniform(6.0, 20.0);

@@ -11,10 +11,6 @@
 #   ./ci.sh --sanitize=tsan
 #   ./ci.sh --coverage       # instrumented build + ctest + per-module line
 #                            #   coverage floors (scripts/coverage_floors.txt)
-#   ./ci.sh --model-check    # ZZ_MODEL_CHECK build: full ctest (model suites
-#                            #   included) + the protocol runner, which logs
-#                            #   per-protocol interleaving counts and enforces
-#                            #   the 1000-interleaving floor
 #   ZZ_KEEP_BUILD=1 ./ci.sh  # reuse existing build directories
 #
 # The PLAIN run stays authoritative for the bench drift gate: sanitizer legs
@@ -31,9 +27,8 @@ case "${1:-}" in
   --sanitize=asan) MODE="asan" ;;
   --sanitize=tsan) MODE="tsan" ;;
   --coverage) MODE="coverage" ;;
-  --model-check) MODE="model" ;;
   *) echo "usage: $0 [--sanitize | --sanitize=asan | --sanitize=tsan |" \
-          "--coverage | --model-check]" >&2
+          "--coverage]" >&2
      exit 2 ;;
 esac
 
@@ -75,16 +70,7 @@ run_sanitizer_leg() {  # $1 = asan|tsan
   if [[ -z "${ZZ_KEEP_BUILD:-}" ]]; then
     rm -rf "$build_dir"
   fi
-  # The ASan leg also builds with ZZ_MODEL_CHECK so the explorer engine and
-  # the model suites themselves run instrumented (the virtual threads are
-  # real std::threads precisely so sanitizers keep working under the
-  # explorer); TSan stays a plain build — its job is the production
-  # interleavings, and the model leg covers the simulated ones.
-  if [[ "$leg" == "asan" ]]; then
-    cmake -B "$build_dir" -S . -DZZ_SANITIZE="$san" -DZZ_MODEL_CHECK=ON
-  else
-    cmake -B "$build_dir" -S . -DZZ_SANITIZE="$san"
-  fi
+  cmake -B "$build_dir" -S . -DZZ_SANITIZE="$san"
   cmake --build "$build_dir" -j "$(nproc)"
   (cd "$build_dir" && ctest --output-on-failure -j "$jobs")
 
@@ -125,28 +111,6 @@ run_clang_static() {
   fi
   ./scripts/run_clang_tidy.sh || exit 1
 }
-
-# --- model-check leg: explore the lock-free protocol interleavings -------
-run_model_check() {
-  local build_dir="build-model"
-  if [[ -z "${ZZ_KEEP_BUILD:-}" ]]; then
-    rm -rf "$build_dir"
-  fi
-  cmake -B "$build_dir" -S . -DZZ_MODEL_CHECK=ON
-  cmake --build "$build_dir" -j "$(nproc)"
-  # Full suite: the model suites run the explorer, the ordinary suites
-  # prove the instrumented façade still passes through for objects outside
-  # explorations.
-  (cd "$build_dir" && ctest --output-on-failure -j "$(nproc)")
-  # The runner logs per-protocol interleaving counts (the acceptance
-  # record) and fails on any unexpected verdict or a count under 1000.
-  "./$build_dir/tools/model/model_check_runner"
-  echo "ci.sh: model-check leg green ($build_dir)"
-}
-if [[ "$MODE" == "model" ]]; then
-  run_model_check
-  exit 0
-fi
 
 # --- coverage leg: instrumented tests + per-module line-coverage floors --
 # The test suite (not the benches) defines covered; benches/examples are

@@ -21,11 +21,6 @@
 #      bit-identically — no hardware entropy, no wall clocks as data
 #      (steady_clock is fine: wall budgets only). Grep fallback for the
 #      clang-tidy zz-nondeterminism check.
-#   7. Atomic façade: no raw std::atomic / std::atomic_flag outside
-#      zz/common/atomic.h and the model-checker engine — a raw atomic is
-#      invisible to the interleaving explorer, so its protocol is
-#      unverifiable. Grep fallback for the clang-tidy zz-raw-atomic check
-#      (docs/ANALYSIS.md §10).
 #
 #   ./scripts/lint_conventions.sh             # lint the repo
 #   ./scripts/lint_conventions.sh --selftest  # prove every rule can fire
@@ -59,9 +54,6 @@ if [[ "${1:-}" == "--selftest" ]]; then
   # Rule 6: hardware entropy in src/.
   printf '#include <random>\nstd::random_device g_rd;\n' \
     > "$tmp"/src/foo/entropy.cpp
-  # Rule 7: raw std::atomic outside the façade.
-  printf '#include <atomic>\nstd::atomic<int> g_n{0};\n' \
-    > "$tmp"/src/foo/raw_atomic.cpp
 
   out="$(ZZ_LINT_ROOT="$tmp" "$self" 2>&1)"
   status=$?
@@ -76,8 +68,7 @@ if [[ "${1:-}" == "--selftest" ]]; then
              "raw C rand" \
              "not registered in ZZ_BENCHES" \
              "layering violation" \
-             "nondeterminism in bench-reachable code" \
-             "raw std::atomic outside the zz::Atomic facade"; do
+             "nondeterminism in bench-reachable code"; do
     if ! grep -qF "$pat" <<<"$out"; then
       echo "selftest: rule \"$pat\" did not fire; output was:"
       sed 's/^/  | /' <<<"$out"
@@ -182,20 +173,6 @@ while IFS= read -r line; do
   note "nondeterminism in bench-reachable code: $line"
 done < <(grep -rnE 'std::random_device|system_clock|high_resolution_clock|\bgettimeofday\b|\bclock_gettime\b|\btime\(NULL\)|\btime\(nullptr\)|\bdrand48\b' \
            src bench --include='*.h' --include='*.cpp')
-
-# --- 7. atomic façade (grep fallback for zz-raw-atomic) -------------------
-# Type mentions only (std::atomic< / std::atomic_flag): prose in comments
-# may say "std::atomic", code may not name the type. The façade header
-# (which embeds the real thing) and the model-checker engine are the two
-# sanctioned homes.
-while IFS= read -r line; do
-  note "raw std::atomic outside the zz::Atomic facade (zz/common/atomic.h): $line"
-done < <(grep -rnE 'std::atomic<|std::atomic_flag' \
-           src bench tests examples \
-           --include='*.h' --include='*.cpp' \
-           | grep -v '^src/common/include/zz/common/atomic\.h' \
-           | grep -v '^src/common/include/zz/common/model/' \
-           | grep -v '^src/common/model/')
 
 if [[ "$fail" -ne 0 ]]; then
   echo "lint_conventions: FAILED"

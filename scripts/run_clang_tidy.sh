@@ -37,12 +37,10 @@ if [[ -z "$major" || "$major" -lt "$MIN_MAJOR" ]]; then
 fi
 
 BUILD_DIR="${1:-build-tidy}"
-# Full configure (tests, examples, bench all default ON, plus the
-# ZZ_MODEL_CHECK sources) so the compile database covers every TU any
-# build compiles, not just the libraries — the completeness gate below
-# counts the model explorer and its suites like any other TU.
+# Full configure (tests, examples, bench all default ON) so the compile
+# database covers every TU any build compiles, not just the libraries.
 if [[ ! -f "$BUILD_DIR/compile_commands.json" ]]; then
-  cmake -B "$BUILD_DIR" -S . -DZZ_MODEL_CHECK=ON >/dev/null
+  cmake -B "$BUILD_DIR" -S . >/dev/null
 fi
 
 # Enumerate TUs from the database itself — find(1) would silently include

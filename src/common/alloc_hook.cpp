@@ -7,10 +7,9 @@
 // malloc/free, so sanitizer allocators keep interposing underneath.
 #include "zz/common/alloc_hook.h"
 
+#include <atomic>
 #include <cstdlib>
 #include <new>
-
-#include "zz/common/atomic.h"
 
 #if defined(__GLIBC__)
 #include <malloc.h>  // malloc_usable_size
@@ -23,10 +22,11 @@ namespace {
 // thread, no destructor ordering hazards at thread exit.
 thread_local AllocCounts tls_counts;
 
-// Constant-initialized (constexpr ctor), so allocations from other TUs'
-// dynamic initializers are counted correctly — no init-order hazard.
-Atomic<std::int64_t> g_live{0};
-Atomic<std::int64_t> g_peak{0};
+// constinit: the compiler guarantees constant initialization, so
+// allocations from other TUs' dynamic initializers are counted correctly —
+// no init-order hazard.
+constinit std::atomic<std::int64_t> g_live{0};
+constinit std::atomic<std::int64_t> g_peak{0};
 
 std::size_t usable(void* p, std::size_t requested) {
 #if defined(__GLIBC__)
@@ -46,9 +46,13 @@ void note_alloc(void* p, std::size_t requested) {
       g_live.fetch_add(static_cast<std::int64_t>(n),
                        std::memory_order_relaxed) +
       static_cast<std::int64_t>(n);
-  // Relaxed is enough for a gauge: the RMW loop inside fetch_max never
-  // loses a larger concurrent maximum (pinned by the peak model suite).
-  fetch_max(g_peak, live, std::memory_order_relaxed);
+  // Lock-free maximum. Relaxed is enough for a gauge: the CAS loop never
+  // loses a larger concurrent maximum (FetchMax.NeverLosesAConcurrentMaximum).
+  std::int64_t peak = g_peak.load(std::memory_order_relaxed);
+  while (peak < live &&
+         !g_peak.compare_exchange_weak(peak, live, std::memory_order_relaxed,
+                                       std::memory_order_relaxed)) {
+  }
 }
 
 void note_free(void* p) {

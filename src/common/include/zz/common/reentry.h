@@ -14,32 +14,32 @@
 // sanitizer builds) a second entry — recursive from the same thread or
 // concurrent from another — aborts with the offending site named; in plain
 // Release the guard compiles to nothing, so it can sit on hot decode paths
-// without perturbing the drift-gated benches. The flag itself is a
-// zz::AtomicFlag and always functional, so callers that want an always-on
-// guard (or a test of the mechanism) can use try_enter()/leave() directly.
+// without perturbing the drift-gated benches. The flag itself is always
+// functional, so callers that want an always-on guard (or a test of the
+// mechanism) can use try_enter()/leave() directly.
 #pragma once
 
-#include "zz/common/atomic.h"
+#include <atomic>
+
 #include "zz/common/check.h"
 
 namespace zz {
 
-/// One bit of "a caller is inside" state, on the façade's AtomicFlag
-/// (acquire enter / release leave — the guard model suite pins mutual
-/// exclusion of the acquired() region). Atomic so a concurrent second
-/// entry is detected (not just recursion); cheap enough to be free on the
-/// fast path.
+/// One bit of "a caller is inside" state. Enter is an acquire exchange and
+/// leave a release store, so the holder's writes are visible to the next
+/// caller that enters. Atomic so a concurrent second entry is detected
+/// (not just recursion); cheap enough to be free on the fast path.
 class ReentryFlag {
  public:
   /// True when the flag was clear and is now held by this caller.
-  bool try_enter() noexcept { return flag_.try_acquire(); }
-  void leave() noexcept { flag_.release(); }
-  bool busy() const noexcept {
-    return flag_.held(std::memory_order_relaxed);
+  bool try_enter() noexcept {
+    return !held_.exchange(true, std::memory_order_acquire);
   }
+  void leave() noexcept { held_.store(false, std::memory_order_release); }
+  bool busy() const noexcept { return held_.load(std::memory_order_relaxed); }
 
  private:
-  AtomicFlag flag_;
+  std::atomic<bool> held_{false};
 };
 
 /// RAII contract scope: entering while another scope holds `flag` is a

@@ -1,13 +1,13 @@
 #include "zz/common/thread_pool.h"
 
+#include <algorithm>
 #include <condition_variable>
 #include <exception>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "zz/common/atomic.h"
 #include "zz/common/mutex.h"
-#include "zz/common/steal_range.h"
 #include "zz/common/thread_annotations.h"
 
 namespace zz {
@@ -27,13 +27,7 @@ struct ThreadPool::Impl {
   std::condition_variable done_cv;   ///< parallel_for waits here for drain
   const std::function<void(std::size_t)>* fn ZZ_GUARDED_BY(mu) = nullptr;
   std::size_t batch_n ZZ_GUARDED_BY(mu) = 0;
-  /// Claim ticket packing (generation << 32) | next_index; the claim
-  /// protocol itself lives in zz/common/steal_range.h (ticket_claim) so
-  /// the model-check suite explores the same transitions. The CAS
-  /// re-checks the generation, so a worker lingering from a drained batch
-  /// can never claim (and silently consume) an index of the NEXT batch —
-  /// it observes the bumped generation and exits.
-  Atomic<std::uint64_t> ticket{0};
+  std::size_t next ZZ_GUARDED_BY(mu) = 0;       ///< next unclaimed index
   std::size_t in_flight ZZ_GUARDED_BY(mu) = 0;  ///< claimed, not finished
   std::uint32_t generation ZZ_GUARDED_BY(mu) = 0;
   bool stop ZZ_GUARDED_BY(mu) = false;
@@ -43,26 +37,35 @@ struct ThreadPool::Impl {
   /// deliberately not guarded by mu.
   std::vector<std::thread> workers;
 
-  void run_tasks(const std::function<void(std::size_t)>& f, std::size_t n,
+  /// Claims the next index of batch `gen`. The generation check keeps a
+  /// worker lingering from a drained batch from claiming (and silently
+  /// consuming) an index of the NEXT batch: it sees the bumped generation
+  /// and exits.
+  bool claim(std::uint32_t gen, std::size_t* i) ZZ_REQUIRES(mu) {
+    if (generation != gen || next >= batch_n) return false;
+    *i = next++;
+    return true;
+  }
+
+  void run_tasks(const std::function<void(std::size_t)>& f,
                  std::uint32_t gen) ZZ_EXCLUDES(mu) {
+    std::size_t i = 0;
+    {
+      MutexLock lock(mu);
+      if (!claim(gen, &i)) return;
+    }
     for (;;) {
-      std::size_t i;
-      const TicketOutcome claim = ticket_claim(ticket, gen, n, &i);
-      if (claim == TicketOutcome::kSuperseded ||
-          claim == TicketOutcome::kExhausted)
-        break;
-      if (claim == TicketOutcome::kRaced) continue;
+      std::exception_ptr err;
       try {
         f(i);
       } catch (...) {
-        MutexLock lock(mu);
-        if (!error) error = std::current_exception();
+        err = std::current_exception();
       }
-      {
-        MutexLock lock(mu);
-        --in_flight;
-        if (in_flight == 0) done_cv.notify_all();
-      }
+      // One lock per task: retire this index and claim the next.
+      MutexLock lock(mu);
+      if (err && !error) error = err;
+      if (--in_flight == 0) done_cv.notify_all();
+      if (!claim(gen, &i)) return;
     }
   }
 
@@ -70,7 +73,6 @@ struct ThreadPool::Impl {
     std::uint32_t seen = 0;
     for (;;) {
       const std::function<void(std::size_t)>* f;
-      std::size_t n;
       std::uint32_t gen;
       {
         MutexLock lock(mu);
@@ -83,12 +85,58 @@ struct ThreadPool::Impl {
         seen = generation;
         gen = generation;
         f = fn;
-        n = batch_n;
       }
-      if (f) run_tasks(*f, n, gen);
+      if (f) run_tasks(*f, gen);
     }
   }
 };
+
+namespace {
+
+/// parallel_for_sharded's schedule: one contiguous [lo, hi) block per
+/// worker, drained front to back by its owner. A worker whose block is
+/// empty takes the back half of the largest remaining block (or its last
+/// index) into its own, so the victim keeps its cache-warm front. One
+/// mutex guards every block; a claim is one short critical section, next
+/// to tasks that each decode a whole episode.
+class Blocks {
+ public:
+  Blocks(std::size_t n, std::size_t q) {
+    range_.reserve(q);
+    for (std::size_t k = 0; k < q; ++k)
+      range_.emplace_back(k * n / q, (k + 1) * n / q);
+  }
+
+  /// Claims worker k's next index; false once every block is drained.
+  bool claim(std::size_t k, std::size_t* i) ZZ_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    auto& own = range_[k];
+    if (own.first == own.second) {
+      std::size_t victim = k, best = 0;
+      for (std::size_t v = 0; v < range_.size(); ++v) {
+        const std::size_t rem = range_[v].second - range_[v].first;
+        if (rem > best) {
+          best = rem;
+          victim = v;
+        }
+      }
+      if (best == 0) return false;
+      auto& loot = range_[victim];
+      const std::size_t mid =
+          best == 1 ? loot.first : loot.first + (best + 1) / 2;
+      own = {mid, loot.second};
+      loot.second = mid;
+    }
+    *i = own.first++;
+    return true;
+  }
+
+ private:
+  Mutex mu_;
+  std::vector<std::pair<std::size_t, std::size_t>> range_ ZZ_GUARDED_BY(mu_);
+};
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) : impl_(new Impl) {
   if (threads == 0) {
@@ -122,16 +170,13 @@ void ThreadPool::parallel_for(std::size_t n,
     MutexLock lock(impl_->mu);
     impl_->fn = &fn;
     impl_->batch_n = n;
+    impl_->next = 0;
     impl_->in_flight = n;
     impl_->error = nullptr;
     gen = ++impl_->generation;
-    // Release pairs with the claimers' acquire load in ticket_claim; the
-    // batch parameters themselves are published by mu.
-    impl_->ticket.store(static_cast<std::uint64_t>(gen) << 32,
-                        std::memory_order_release);
   }
   impl_->work_cv.notify_all();
-  impl_->run_tasks(fn, n, gen);  // the caller helps drain the batch
+  impl_->run_tasks(fn, gen);  // the caller helps drain the batch
   {
     MutexLock lock(impl_->mu);
     while (impl_->in_flight != 0) impl_->done_cv.wait(lock.native());
@@ -148,54 +193,11 @@ void ThreadPool::parallel_for_sharded(
     return;
   }
 
-  // One deque per worker, as a packed [lo, hi) range over the contiguous
-  // block partition of [0, n). The pop/steal/install transitions live in
-  // zz/common/steal_range.h (where the model-check suite explores them):
-  // every transition is a CAS on the packed value, so owner pops, thief
-  // back-half steals and re-installs of stolen ranges into an emptied
-  // queue can interleave freely without ever double-claiming an index.
   const std::size_t q = std::min(size_, n);
-  std::vector<Atomic<std::uint64_t>> queues(q);
-  for (std::size_t k = 0; k < q; ++k)
-    // The batch hand-off (pool mutex + ticket release) publishes the
-    // initial partition to the workers.
-    queues[k].store(RangeCell::pack(k * n / q, (k + 1) * n / q),
-                    std::memory_order_relaxed);
-
+  Blocks blocks(n, q);
   parallel_for(q, [&](std::size_t k) {
-    for (;;) {
-      // Drain the own queue front-to-back.
-      for (;;) {
-        std::size_t i;
-        const PopOutcome pop = range_pop_front(queues[k], &i);
-        if (pop == PopOutcome::kEmpty) break;
-        if (pop == PopOutcome::kRaced) continue;
-        fn(i, k);
-      }
-      // Out of work: steal from the largest remaining queue.
-      std::size_t victim = q;
-      std::uint64_t best = 0;
-      for (std::size_t v = 0; v < q; ++v) {
-        if (v == k) continue;
-        const std::uint64_t cur = queues[v].load(std::memory_order_acquire);
-        const std::uint64_t rem = RangeCell::hi(cur) - RangeCell::lo(cur);
-        if (!RangeCell::empty(cur) && rem > best) {
-          best = rem;
-          victim = v;
-        }
-      }
-      if (victim == q) return;  // every queue drained or in-flight
-      std::size_t i;
-      switch (range_steal_back(queues[victim], queues[k], &i)) {
-        case StealOutcome::kStoleSingle:
-          fn(i, k);
-          break;
-        case StealOutcome::kEmpty:   // raced empty; rescan
-        case StealOutcome::kRaced:   // lost the race; rescan
-        case StealOutcome::kInstalled:  // loot parked — resume popping
-          break;
-      }
-    }
+    std::size_t i = 0;
+    while (blocks.claim(k, &i)) fn(i, k);
   });
 }
 

@@ -6,7 +6,9 @@
 // runs that shape on one machine: every cell is a sequence of episodes —
 // one episode is one full Live/Streaming scenario played through
 // testbed::EpisodeStream — and the (cell, episode) grid is multiplexed
-// over a work-stealing worker pool (ThreadPool::parallel_for_sharded).
+// over the worker pool (ThreadPool::parallel_for_sharded): one contiguous
+// block of episodes per worker, and an idle worker takes the back half of
+// the largest block left.
 //
 // Determinism is the load-bearing property. Every episode draws from its
 // own RNG stream, sharded twice: cell_seed = shard_seed(options.seed,

@@ -25,10 +25,9 @@
 #include <vector>
 
 #ifdef ZZ_DEBUG_THREAD_CHECKS
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-
-#include "zz/common/atomic.h"
 #endif
 
 #include "zz/common/check.h"
@@ -86,28 +85,29 @@ class ScratchArena {
  private:
 #ifdef ZZ_DEBUG_THREAD_CHECKS
   /// Aborts when two threads are inside the arena at once. Entry/exit are
-  /// acq_rel RMWs on a zz::EntryCounter — NOT relaxed: the documented
+  /// acq_rel RMWs on the occupancy counter — NOT relaxed: the documented
   /// contract allows serial cross-thread hand-off, and with a relaxed
   /// counter the detector both stayed silent AND provided no
   /// happens-before edge between the two users' buffer writes, so the
   /// hand-off the contract promises was itself a data race. The acq_rel
   /// counter chain is that edge (B's enter that observes A's exit sees all
-  /// of A's writes); the confinement model suite pins both the overlap
-  /// detection and the hand-off visibility, and its relaxed variant is the
-  /// caught regression (docs/ANALYSIS.md §10).
+  /// of A's writes); Scratch.SerialHandOffThroughConfinementCounter pins
+  /// the hand-off under TSan (docs/ANALYSIS.md §10).
   struct ConfinementGuard {
     explicit ConfinementGuard(ScratchArena& a) : a_(a) {
-      if (a_.active_.enter() != 0) {
+      if (a_.active_.fetch_add(1, std::memory_order_acq_rel) != 0) {
         std::fprintf(stderr,
                      "ScratchArena: concurrent access from two threads — "
                      "arenas are thread-confined (see zz/signal/scratch.h)\n");
         std::abort();
       }
     }
-    ~ConfinementGuard() { a_.active_.exit(); }
+    ~ConfinementGuard() {
+      a_.active_.fetch_sub(1, std::memory_order_acq_rel);
+    }
     ScratchArena& a_;
   };
-  EntryCounter active_;
+  std::atomic<int> active_{0};
 #else
   struct ConfinementGuard {
     explicit ConfinementGuard(ScratchArena&) {}

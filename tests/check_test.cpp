@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "zz/common/reentry.h"
 
@@ -111,6 +113,34 @@ TEST(Reentry, FlagTracksEnterAndLeave) {
   EXPECT_FALSE(flag.busy());
   EXPECT_TRUE(flag.try_enter());  // reusable after leave
   flag.leave();
+}
+
+TEST(Reentry, ContendedFlagAdmitsOneHolderAtATime) {
+  // Winners bump a plain int between try_enter and leave. The flag's
+  // acquire enter and release leave are the only ordering between two
+  // winners, so a weaker order is a data race on the TSan leg; a second
+  // holder at once would lose an update here.
+  ReentryFlag flag;
+  int inside = 0;
+  constexpr int kThreads = 4;
+  constexpr int kTries = 5000;
+  std::vector<int> wins(kThreads, 0);
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t)
+    ts.emplace_back([&, t] {
+      for (int i = 0; i < kTries; ++i) {
+        if (!flag.try_enter()) continue;
+        ++inside;
+        ++wins[t];
+        flag.leave();
+      }
+    });
+  for (auto& th : ts) th.join();
+  int total = 0;
+  for (const int w : wins) total += w;
+  EXPECT_GE(total, 1);
+  EXPECT_EQ(inside, total);
+  EXPECT_FALSE(flag.busy());
 }
 
 TEST(Reentry, ScopeReleasesOnExit) {

@@ -3,13 +3,14 @@
 // hook the AP-farm soak gates are built on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <thread>
 #include <vector>
 
 #include "zz/common/alloc_hook.h"
-#include "zz/common/atomic.h"
 #include "zz/common/crc32.h"
 #include "zz/common/mathutil.h"
 #include "zz/common/rng.h"
@@ -185,7 +186,7 @@ TEST(ThreadPoolSharded, EveryIndexRunsExactlyOnce) {
                                     std::size_t{4}, std::size_t{8}}) {
     ThreadPool pool(threads);
     constexpr std::size_t kN = 500;
-    std::vector<Atomic<int>> hits(kN);
+    std::vector<std::atomic<int>> hits(kN);
     pool.parallel_for_sharded(kN, [&](std::size_t i, std::size_t) {
       hits[i].fetch_add(1, std::memory_order_relaxed);
     });
@@ -219,7 +220,7 @@ TEST(ThreadPoolSharded, StealsAcrossSkewedBlocks) {
   ThreadPool pool(4);
   if (pool.size() < 2) GTEST_SKIP() << "needs a real pool";
   constexpr std::size_t kN = 64;
-  std::vector<Atomic<int>> hits(kN);
+  std::vector<std::atomic<int>> hits(kN);
   pool.parallel_for_sharded(kN, [&](std::size_t i, std::size_t w) {
     if (i < kN / 4 && w == 0)  // only the owner is slow on its own block
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -234,7 +235,7 @@ TEST(ThreadPoolSharded, DegenerateSizes) {
   std::size_t ran = 0;
   pool.parallel_for_sharded(0, [&](std::size_t, std::size_t) { ++ran; });
   EXPECT_EQ(ran, 0u);
-  Atomic<std::size_t> ran1{0};
+  std::atomic<std::size_t> ran1{0};
   pool.parallel_for_sharded(1, [&](std::size_t i, std::size_t w) {
     EXPECT_EQ(i, 0u);
     EXPECT_EQ(w, 0u);
@@ -242,7 +243,7 @@ TEST(ThreadPoolSharded, DegenerateSizes) {
   });
   EXPECT_EQ(ran1.load(std::memory_order_relaxed), 1u);
   // Fewer indices than workers: queue ids stay within [0, n).
-  Atomic<std::size_t> ran2{0};
+  std::atomic<std::size_t> ran2{0};
   pool.parallel_for_sharded(2, [&](std::size_t, std::size_t w) {
     EXPECT_LT(w, 2u);
     ran2.fetch_add(1, std::memory_order_relaxed);
@@ -259,6 +260,25 @@ TEST(ThreadPoolSharded, PropagatesFirstException) {
             if (i == 3) throw std::runtime_error("boom");
           }),
       std::runtime_error);
+}
+
+TEST(ThreadPool, BackToBackBatchesRunEveryIndexOnce) {
+  // Batches of varying size, each queued the moment the previous drains:
+  // a worker still leaving batch b must never claim an index of batch
+  // b + 1 (it would run b's task on it, leaving b + 1's index unrun). The
+  // per-index counts are plain ints, so a double claim is also a data
+  // race on the TSan leg.
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    ThreadPool pool(threads);
+    for (std::size_t b = 0; b < 1000; ++b) {
+      const std::size_t n = 2 + (b * 7) % 37;
+      std::vector<int> hits(n, 0);
+      pool.parallel_for(n, [&](std::size_t i) { ++hits[i]; });
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(hits[i], 1) << "batch " << b << " index " << i << " at "
+                              << threads << " threads";
+    }
+  }
 }
 
 // ------------------------------------------------ allocation-count hook
@@ -318,9 +338,42 @@ TEST(AllocHook, LiveBytesTrackNetHeap) {
   const std::int64_t peak = peak_heap_bytes();
   delete[] p;
   const std::int64_t after = live_heap_bytes();
+  // A smaller allocation must not lower the peak gauge.
+  auto* q = new char[64];
+  keep_alloc(q);
+  const std::int64_t peak_after = peak_heap_bytes();
+  delete[] q;
   EXPECT_GE(during - before, static_cast<std::int64_t>(kBytes));
   EXPECT_GE(peak, during);
   EXPECT_LT(after, during);
+  EXPECT_GE(peak_after, peak);
+}
+
+TEST(FetchMax, NeverLosesAConcurrentMaximum) {
+  // The peak gauge is a CAS-loop maximum over the live-bytes counter.
+  // Every value the counter reaches by an allocation is offered to it, so
+  // no live_heap_bytes() read can exceed the final peak — unless a
+  // concurrent raise was lost. Each block alone lifts live bytes past the
+  // peak so far, so the threads race to set new maxima.
+  const std::size_t block =
+      static_cast<std::size_t>(peak_heap_bytes() - live_heap_bytes()) + 4096;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 500;
+  std::vector<std::int64_t> seen(kThreads, 0);
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t)
+    ts.emplace_back([&seen, block, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        auto* p = new char[block + 64 * static_cast<std::size_t>(r % 16)];
+        keep_alloc(p);
+        seen[t] = std::max(seen[t], live_heap_bytes());
+        delete[] p;
+      }
+    });
+  for (auto& th : ts) th.join();
+  const std::int64_t peak = peak_heap_bytes();
+  for (int t = 0; t < kThreads; ++t)
+    EXPECT_LE(seen[t], peak) << "thread " << t;
 }
 
 TEST(AllocHook, CountsEveryReplacementOperatorVariant) {

@@ -2,8 +2,10 @@
 // interpolation, and the sliding correlator that powers collision detection.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <limits>
+#include <thread>
 
 #include "zz/common/mathutil.h"
 #include "zz/common/rng.h"
@@ -466,6 +468,42 @@ TEST(Scratch, SlotsKeepIdentityAcrossGrowth) {
   EXPECT_EQ(&a, &arena.cvec(0, 50));
   auto& d = arena.dvec(2, 64);
   EXPECT_EQ(d.size(), 64u);
+}
+
+TEST(Scratch, SerialHandOffThroughConfinementCounter) {
+#ifndef ZZ_DEBUG_THREAD_CHECKS
+  GTEST_SKIP() << "the confinement counter is compiled in only with "
+                  "ZZ_DEBUG_THREAD_CHECKS (sanitizer builds)";
+#else
+  // Two threads take turns in one arena, each checking the previous
+  // turn's buffer and overwriting it. The turn flag is relaxed and orders
+  // nothing: the only happens-before edge between turns is the arena's
+  // acq_rel confinement counter. Each turn ends with a czero, which fills
+  // slot 1 inside the guard, so a relaxed enter or a relaxed leave shows
+  // as a data race on the TSan leg.
+  ScratchArena arena;
+  std::atomic<int> turn{0};
+  constexpr int kTurns = 200;
+  constexpr std::size_t kN = 64;
+  const auto play = [&](int first) {
+    for (int t = first; t < kTurns; t += 2) {
+      while (turn.load(std::memory_order_relaxed) != t)
+        std::this_thread::yield();
+      std::vector<double>& buf = arena.dvec(0, kN);
+      for (std::size_t j = 0; j < kN; ++j) {
+        if (t > 0) {
+          EXPECT_EQ(buf[j], static_cast<double>(t - 1)) << "turn " << t;
+        }
+        buf[j] = t;
+      }
+      arena.czero(1, kN);
+      turn.store(t + 1, std::memory_order_relaxed);
+    }
+  };
+  std::thread a(play, 0), b(play, 1);
+  a.join();
+  b.join();
+#endif
 }
 
 }  // namespace

@@ -12,8 +12,7 @@ void MemoryOrderCheck::registerMatchers(MatchFinder* Finder) {
   // A memory_order parameter filled in by its default argument. The
   // parameter type (not the callee's class) is the anchor, so this covers
   // std::atomic members, the libstdc++/libc++ __atomic_base bases they
-  // inherit from, and the std::atomic_* free functions alike. zz::Atomic
-  // itself has no defaulted orders — a façade call can never trip this.
+  // inherit from, and the std::atomic_* free functions alike.
   Finder->addMatcher(
       callExpr(forEachArgumentWithParam(
                    cxxDefaultArgExpr().bind("default-order"),
@@ -37,14 +36,14 @@ void MemoryOrderCheck::check(const MatchFinder::MatchResult& Result) {
     diag(Call->getBeginLoc(),
          "atomic operation relies on the implicit seq_cst default; name "
          "the ordering from the convention table (docs/ANALYSIS.md "
-         "sec. 10) at every call site");
+         "sec. 10, Atomics) at every call site");
     return;
   }
   if (const auto* Ref =
           Result.Nodes.getNodeAs<clang::DeclRefExpr>("seq-cst-ref")) {
     diag(Ref->getBeginLoc(),
          "seq_cst is outside the repo's ordering convention table "
-         "(docs/ANALYSIS.md sec. 10); pick the weakest order the protocol "
+         "(docs/ANALYSIS.md sec. 10, Atomics); pick the weakest order the "
          "edge needs, or NOLINT with the justification");
   }
 }

@@ -1,4 +1,4 @@
-// The zz domain clang-tidy module: registers the six project-invariant
+// The zz domain clang-tidy module: registers the five project-invariant
 // checks under the `zz-` prefix (docs/ANALYSIS.md §8, §10). Built as a
 // plugin (`-load libzz_tidy_checks.so`) against the clang-tidy the host
 // provides; all clang/llvm symbols resolve from the loading clang-tidy
@@ -8,7 +8,6 @@
 #include "LayeringCheck.h"
 #include "MemoryOrderCheck.h"
 #include "NondeterminismCheck.h"
-#include "RawAtomicCheck.h"
 #include "clang-tidy/ClangTidyModule.h"
 #include "clang-tidy/ClangTidyModuleRegistry.h"
 
@@ -23,7 +22,6 @@ class ZzModule : public clang::tidy::ClangTidyModule {
     CheckFactories.registerCheck<ArenaSlotEscapeCheck>("zz-arena-slot-escape");
     CheckFactories.registerCheck<NondeterminismCheck>("zz-nondeterminism");
     CheckFactories.registerCheck<LayeringCheck>("zz-layering");
-    CheckFactories.registerCheck<RawAtomicCheck>("zz-raw-atomic");
     CheckFactories.registerCheck<MemoryOrderCheck>("zz-memory-order");
   }
 };

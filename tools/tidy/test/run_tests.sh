@@ -108,15 +108,6 @@ run_case nondet-clock-bad zz-nondeterminism diag \
 run_case nondet-ok zz-nondeterminism clean - \
   "$T/nondet_ok.cpp"
 
-# The negative fixtures compile the REAL façade header: its internal
-# std::atomic member must be allowlisted by path, and its API must offer
-# no defaulted memory orders to trip on.
-run_case raw-atomic-type-bad zz-raw-atomic diag \
-  "raw std::atomic is invisible to the interleaving model checker" \
-  "$T/raw_atomic_bad.cpp"
-run_case raw-atomic-ok zz-raw-atomic clean - \
-  "$T/raw_atomic_ok.cpp" -I "src/common/include"
-
 run_case memorder-default-bad zz-memory-order diag \
   "relies on the implicit seq_cst default" \
   "$T/memorder_bad.cpp"
@@ -124,7 +115,7 @@ run_case memorder-explicit-bad zz-memory-order diag \
   "seq_cst is outside the repo's ordering convention table" \
   "$T/memorder_bad.cpp"
 run_case memorder-ok zz-memory-order clean - \
-  "$T/memorder_ok.cpp" -I "src/common/include"
+  "$T/memorder_ok.cpp"
 
 run_case layering-bad zz-layering diag \
   "module 'mac' must not include" \

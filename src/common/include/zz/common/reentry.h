@@ -42,6 +42,23 @@ class ReentryFlag {
   std::atomic<bool> held_{false};
 };
 
+/// Occupancy count for a single-owner region (ScratchArena confinement).
+/// enter() and exit() return the count before the call, so a nonzero
+/// prior on enter means another caller is inside. Both are acq_rel RMWs:
+/// besides detecting overlap, the counter chain is the happens-before edge
+/// of a serial cross-thread hand-off (B's enter that reads A's exit sees
+/// all of A's writes).
+class EntryCounter {
+ public:
+  /// The count before entering (0 = sole owner).
+  int enter() noexcept { return n_.fetch_add(1, std::memory_order_acq_rel); }
+  /// The count before exiting (1 = the caller was sole owner).
+  int exit() noexcept { return n_.fetch_sub(1, std::memory_order_acq_rel); }
+
+ private:
+  std::atomic<int> n_{0};
+};
+
 /// RAII contract scope: entering while another scope holds `flag` is a
 /// fatal contract violation when DCHECKs are compiled in, a no-op
 /// otherwise.

@@ -25,9 +25,10 @@
 #include <vector>
 
 #ifdef ZZ_DEBUG_THREAD_CHECKS
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
+
+#include "zz/common/reentry.h"
 #endif
 
 #include "zz/common/check.h"
@@ -85,7 +86,7 @@ class ScratchArena {
  private:
 #ifdef ZZ_DEBUG_THREAD_CHECKS
   /// Aborts when two threads are inside the arena at once. Entry/exit are
-  /// acq_rel RMWs on the occupancy counter — NOT relaxed: the documented
+  /// acq_rel RMWs on the occupancy counter (zz::EntryCounter) — NOT relaxed: the documented
   /// contract allows serial cross-thread hand-off, and with a relaxed
   /// counter the detector both stayed silent AND provided no
   /// happens-before edge between the two users' buffer writes, so the
@@ -95,19 +96,17 @@ class ScratchArena {
   /// the hand-off under TSan (docs/ANALYSIS.md §10).
   struct ConfinementGuard {
     explicit ConfinementGuard(ScratchArena& a) : a_(a) {
-      if (a_.active_.fetch_add(1, std::memory_order_acq_rel) != 0) {
+      if (a_.active_.enter() != 0) {
         std::fprintf(stderr,
                      "ScratchArena: concurrent access from two threads — "
                      "arenas are thread-confined (see zz/signal/scratch.h)\n");
         std::abort();
       }
     }
-    ~ConfinementGuard() {
-      a_.active_.fetch_sub(1, std::memory_order_acq_rel);
-    }
+    ~ConfinementGuard() { a_.active_.exit(); }
     ScratchArena& a_;
   };
-  std::atomic<int> active_{0};
+  EntryCounter active_;
 #else
   struct ConfinementGuard {
     explicit ConfinementGuard(ScratchArena&) {}

@@ -18,6 +18,7 @@
 
 namespace {
 
+using zz::EntryCounter;
 using zz::ReentryFlag;
 using zz::ReentryScope;
 
@@ -113,6 +114,34 @@ TEST(Reentry, FlagTracksEnterAndLeave) {
   EXPECT_FALSE(flag.busy());
   EXPECT_TRUE(flag.try_enter());  // reusable after leave
   flag.leave();
+}
+
+TEST(AtomicFlag, SecondAcquireFailsUntilRelease) {
+  // The one-owner flag refuses a second holder from another thread, not
+  // only a recursive entry, and admits the next holder once released.
+  ReentryFlag flag;
+  ASSERT_TRUE(flag.try_enter());
+  bool other = true;
+  std::thread([&] { other = flag.try_enter(); }).join();
+  EXPECT_FALSE(other);
+  EXPECT_TRUE(flag.busy());  // the refused attempt left the hold intact
+  flag.leave();
+  std::thread([&] {
+    other = flag.try_enter();
+    if (other) flag.leave();
+  }).join();
+  EXPECT_TRUE(other);
+  EXPECT_FALSE(flag.busy());
+}
+
+TEST(EntryCounter, ReportsPriorOccupancy) {
+  EntryCounter c;
+  EXPECT_EQ(c.enter(), 0);  // sole owner
+  EXPECT_EQ(c.enter(), 1);  // overlap detected
+  EXPECT_EQ(c.exit(), 2);
+  EXPECT_EQ(c.exit(), 1);  // we were sole owner again
+  EXPECT_EQ(c.enter(), 0);  // a later entry is sole owner once more
+  EXPECT_EQ(c.exit(), 1);
 }
 
 TEST(Reentry, ContendedFlagAdmitsOneHolderAtATime) {

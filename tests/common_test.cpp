@@ -349,6 +349,28 @@ TEST(AllocHook, LiveBytesTrackNetHeap) {
   EXPECT_GE(peak_after, peak);
 }
 
+TEST(FetchMax, RaisesAndReturnsPrior) {
+  // Single-threaded, so nothing else moves the gauges between reads. An
+  // allocation that lifts live bytes past the peak raises the peak to
+  // exactly that value; the peak read before it is the prior maximum it
+  // replaced. A later, smaller value leaves the peak unchanged.
+  const std::int64_t prior = peak_heap_bytes();
+  const std::size_t block =
+      static_cast<std::size_t>(prior - live_heap_bytes()) + 4096;
+  auto* p = new char[block];
+  keep_alloc(p);
+  const std::int64_t live = live_heap_bytes();
+  const std::int64_t raised = peak_heap_bytes();
+  delete[] p;
+  EXPECT_GT(live, prior);
+  EXPECT_EQ(raised, live);
+  auto* q = new char[64];
+  keep_alloc(q);
+  EXPECT_LT(live_heap_bytes(), raised);
+  EXPECT_EQ(peak_heap_bytes(), raised);  // no lowering
+  delete[] q;
+}
+
 TEST(FetchMax, NeverLosesAConcurrentMaximum) {
   // The peak gauge is a CAS-loop maximum over the live-bytes counter.
   // Every value the counter reaches by an allocation is offered to it, so

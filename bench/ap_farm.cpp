@@ -7,27 +7,27 @@
 // Output discipline: every table is deterministic (sharded RNG, worker-
 // count independent — the farm_test pins it) and drift-gated verbatim by
 // run_all --check. Timing lines carry a "perf:" prefix; the drift diff
-// skips them (wall clock is machine-dependent), but --check still parses
-// them for the throughput floor and the scaling-efficiency gate (the
-// latter only on hardware with >= 4 cores — the perf summary reports the
-// core count so the gate can tell).
+// skips them (wall clock is machine-dependent) and nothing gates them:
+// they are the recorded trajectory. The bench exits 1 when a gate fails.
 //
 // Four sections:
-//  * farm grid: per-cell aggregates of the saturation run (drift-gated);
+//  * farm grid: per-cell aggregates of the saturation run (drift-gated;
+//    delivered and resolved gated > 0);
 //  * determinism: the same farm at 2/4/8 workers vs 1, bit-identical
 //    ("yes" rows, gated);
 //  * soak: one 2-worker farm run three times over the same seeds; every
 //    run decodes every episode, so the table (delivered, per-episode
-//    decode-cache hits/misses) repeats the warmup's (drift-gated). The
-//    per-run allocations and retained-heap growth are "perf:" lines
-//    (allocation counts vary by a few with scheduling): a steady run may
-//    allocate no more than the warmup and may grow the live heap by less
-//    than 256 KiB (gated);
+//    decode-cache hits/misses) repeats the warmup's (gated). The per-run
+//    allocations and retained-heap growth are "perf:" lines (allocation
+//    counts vary by a few with scheduling): a steady run may allocate no
+//    more than the warmup and may grow the live heap by less than 256 KiB
+//    (gated);
 //  * perf: sustained episodes/s, packets/s, resolved/s per worker count
-//    plus scaling efficiency (floor- and efficiency-gated, drift-skipped).
-//    The grid's 1-worker run is the warm-up; each worker count reports
-//    the median of kRepeats fresh farms.
+//    plus scaling efficiency and hw_cores (recorded, not gated). The
+//    grid's 1-worker run is the warm-up; each worker count reports the
+//    median of kRepeats fresh farms.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -125,6 +125,8 @@ int main() {
                 std::to_string(ref.collisions_resolved),
                 Table::num(ref.throughput(), 4)});
   grid.print("AP-farm grid: per-cell saturation aggregates");
+  bench::gate(ref.delivered > 0, "ap_farm delivered nothing");
+  bench::gate(ref.collisions_resolved > 0, "ap_farm resolved no collisions");
 
   // ---- Determinism: worker count must be invisible in the result. The
   // 1/2/4-worker farms double as the perf sweep's kRepeats timed runs,
@@ -148,8 +150,12 @@ int main() {
     }
   }
   Table det({"workers", "identical"});
-  for (std::size_t i = 1; i < 4; ++i)
+  for (std::size_t i = 1; i < 4; ++i) {
     det.add_row({std::to_string(counts[i]), identical[i] ? "yes" : "NO"});
+    bench::gate(identical[i], "ap_farm result at workers=" +
+                                  std::to_string(counts[i]) +
+                                  " diverged from the 1-worker farm");
+  }
   std::vector<std::pair<std::size_t, double>> perf;
   for (std::size_t i = 0; i < 3; ++i)
     perf.push_back({counts[i], median(timed[i])});
@@ -158,7 +164,8 @@ int main() {
   // ---- Soak: the same farm run three times over the same seeds. Run 0
   // warms the per-worker arenas; the steady runs decode every episode
   // again, so the deterministic columns repeat, while allocations and the
-  // live heap (the "perf:" lines below) must not climb.
+  // live heap (the "perf:" lines below) must not climb: the farm retains
+  // nothing across episodes but its plateaued arenas.
   farm::FarmOptions soak = opt;
   soak.workers = 2;
   farm::ApFarm soak_farm(cells, soak);
@@ -170,6 +177,7 @@ int main() {
     std::int64_t live_heap;
   };
   std::vector<SoakPerf> soak_perf;
+  std::array<std::uint64_t, 4> warmup_row{};
   for (int run = 0; run < 3; ++run) {
     const std::string name =
         run == 0 ? "warmup" : "steady-" + std::to_string(run);
@@ -177,17 +185,30 @@ int main() {
     {  // scoped so the result is freed before the live heap is read
       const farm::FarmResult r = soak_farm.run(episodes);
       allocs = r.episode_allocs;
-      soak_tbl.add_row({name, std::to_string(r.episodes),
-                        std::to_string(r.delivered),
-                        std::to_string(r.decode_cache_hits),
-                        std::to_string(r.decode_cache_misses)});
+      const std::array<std::uint64_t, 4> row = {
+          r.episodes, r.delivered, r.decode_cache_hits, r.decode_cache_misses};
+      if (run == 0) warmup_row = row;
+      bench::gate(row == warmup_row,
+                  "ap_farm soak run " + name + " differs from the warmup");
+      soak_tbl.add_row({name, std::to_string(row[0]), std::to_string(row[1]),
+                        std::to_string(row[2]), std::to_string(row[3])});
     }
     soak_perf.push_back({name, allocs, live_heap_bytes()});
+    const std::int64_t growth =
+        soak_perf.back().live_heap - soak_perf.front().live_heap;
+    bench::gate(allocs <= soak_perf.front().allocs,
+                "ap_farm soak run " + name + " allocated " +
+                    std::to_string(allocs) + " times, more than the warmup's " +
+                    std::to_string(soak_perf.front().allocs));
+    bench::gate(growth < 256 * 1024, "ap_farm soak run " + name +
+                                         " grew the live heap by " +
+                                         std::to_string(growth) +
+                                         " bytes (limit 256 KiB)");
   }
   soak_tbl.print("\nsoak: the same seeds decoded again by one 2-worker farm");
 
   // ---- Perf: machine-dependent, "perf:"-prefixed so the drift diff skips
-  // these lines while --check parses the floors. Efficiency is relative to
+  // these lines; they are recorded, not gated. Efficiency is relative to
   // the 1-worker median of the SAME grid (same episodes, same seeds).
   std::printf("\n");
   const double ref_ms = perf.front().second;
@@ -220,5 +241,5 @@ int main() {
       "\nOne farm, any worker count, one result: the grid above is "
       "bit-identical from\n1 to 8 workers, and every soak run decodes "
       "each episode again without growing\nthe heap.\n");
-  return 0;
+  return bench::exit_status();
 }

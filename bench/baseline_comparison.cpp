@@ -11,10 +11,11 @@
 //
 // Every head runs the same sharded-RNG sweep, so the printed tables are
 // bit-identical at any thread count; run_all --check diffs them verbatim
-// against the committed baseline and gates the expected ordering
-// (zigzag >= 802.11 at every n; algebraic-mp within its documented band of
-// zigzag — see bench/README.md).
+// against the committed baseline. The bench gates the expected ordering
+// itself (zigzag >= 802.11 at every n; algebraic-mp within its documented
+// band of zigzag — see bench/README.md) and exits 1 when it breaks.
 #include <cstdio>
+#include <string>
 
 #include "bench_util.h"
 #include "zz/common/stats.h"
@@ -69,14 +70,36 @@ int main() {
   cdf.print("baseline comparison: per-sender throughput CDF and loss "
             "(n hidden senders, 12 dB)");
 
+  // Gate, at every n: zigzag at least matches stock 802.11 (the paper's
+  // core claim, generalized); algebraic-mp stays inside a two-sided band
+  // of zigzag (working, but not beating the full §4.2.4 tracking
+  // receiver); slotted-zz clears a floor despite idle slots and k>2
+  // pileups.
+  const bool quick = bench::run_scale() < 1.0;
+  const double mp_lo = quick ? 0.45 : 0.60;
+  const double mp_hi = quick ? 1.15 : 1.05;
+  const double slotted_min = quick ? 0.03 : 0.04;
   Table ord({"n", "zz tput", "mp tput", "mp/zz", "slotted-zz", "802.11"});
   for (std::size_t ni = 0; ni < results[0].points.size(); ++ni) {
     const double zz = results[0].points[ni].mean_throughput;
     const double mp = results[1].points[ni].mean_throughput;
+    const double slotted = results[2].points[ni].mean_throughput;
+    const double dot11 = results[3].points[ni].mean_throughput;
+    const double ratio = zz > 0.0 ? mp / zz : 0.0;
     ord.add_row({std::to_string(results[0].points[ni].n), Table::num(zz, 4),
-                 Table::num(mp, 4), Table::num(zz > 0.0 ? mp / zz : 0.0, 3),
-                 Table::num(results[2].points[ni].mean_throughput, 4),
-                 Table::num(results[3].points[ni].mean_throughput, 4)});
+                 Table::num(mp, 4), Table::num(ratio, 3),
+                 Table::num(slotted, 4), Table::num(dot11, 4)});
+    const std::string at = " at n=" + std::to_string(results[0].points[ni].n);
+    bench::gate(zz > 0.0 && zz >= dot11,
+                "zigzag throughput " + std::to_string(zz) +
+                    " zero or below 802.11 " + std::to_string(dot11) + at);
+    bench::gate(ratio >= mp_lo && ratio <= mp_hi,
+                "algebraic-mp/zigzag ratio " + std::to_string(ratio) +
+                    " outside [" + std::to_string(mp_lo) + ", " +
+                    std::to_string(mp_hi) + "]" + at);
+    bench::gate(slotted >= slotted_min,
+                "slotted-zz throughput " + std::to_string(slotted) +
+                    " below " + std::to_string(slotted_min) + at);
   }
   ord.print("baseline comparison: ordering summary (mean per-sender "
             "throughput)");
@@ -86,5 +109,5 @@ int main() {
       "skipping the\n§4.2.4 tracking loop, slotted-ALOHA-zigzag pays idle "
       "slots and k>2 pileups, and\nstock 802.11 gets nothing out of "
       "equal-power collisions.\n");
-  return 0;
+  return bench::exit_status();
 }

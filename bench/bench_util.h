@@ -1,6 +1,7 @@
 // Shared helpers for the paper-reproduction benches: canonical scenario
 // construction (senders, profiles, collisions) and scoring, mirroring the
-// methodology fixtures used across the test suite.
+// methodology fixtures used across the test suite, plus the gate each bench
+// applies to the claims it reproduces.
 #pragma once
 
 #include <cstdio>
@@ -29,6 +30,22 @@ inline std::size_t scaled(std::size_t n) {
   const auto v = static_cast<std::size_t>(static_cast<double>(n) * run_scale());
   return v ? v : 1;
 }
+
+/// Gate failures recorded so far by gate().
+inline int gate_failures = 0;
+
+/// Checks a paper claim on the value the bench computed (the quick scale,
+/// run_scale() < 1, carries wider bands). A failed gate prints
+/// "gate FAILED: <what>" to stderr and makes exit_status() 1; a passing
+/// one prints nothing, so the drift-diffed stdout stays as it was.
+inline void gate(bool ok, const std::string& what) {
+  if (ok) return;
+  std::fprintf(stderr, "gate FAILED: %s\n", what.c_str());
+  ++gate_failures;
+}
+
+/// What main returns: 0 when every gate held, 1 otherwise.
+inline int exit_status() { return gate_failures == 0 ? 0 : 1; }
 
 struct Party {
   phy::TxFrame frame;

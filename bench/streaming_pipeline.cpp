@@ -6,13 +6,19 @@
 // the air a packet's decode actually landed.
 //
 // Three sections, all deterministic (run_all --check diffs them verbatim
-// against the committed baseline):
+// against the committed baseline); the bench exits 1 when a gate fails:
 //  * identity: Live vs Streaming at n = 2..3 over several seeds; the
 //    "identical" column must read yes in every row (gated).
 //  * latency: first-delivery position, windows, mean decode latency and
-//    the bounded-per-push work pin, per n (drift-gated numbers).
-//  * fairness: the n-sender sweep collected through the stream; n >= 3
-//    must hold the §5.7 fair share on the streaming route too (gated).
+//    the bounded-per-push work pin, per n (deliveries and the pin gated
+//    > 0).
+//  * fairness: the n-sender sweep collected through the stream; n = 3
+//    must hold Jain fairness on the streaming route too (gated). The
+//    fair-share ratio is not gated: on the live/streaming route airtime
+//    includes idle contention rounds, so a ratio well below 1 is the
+//    methodology, not a regression (n_sender_sweep's lockstep LoggedJoint
+//    rounds carry that gate). n = 4 is reported but ungated: at quick
+//    scale its single run is degenerate.
 #include <cstdio>
 #include <cstdint>
 #include <string>
@@ -72,6 +78,10 @@ int main() {
                      std::to_string(total_delivered(stream)),
                      std::to_string(live.airtime_rounds),
                      same ? "yes" : "NO"});
+      // Delivering other packets than the offline route is a pipeline
+      // bug, never a tuning choice.
+      bench::gate(same, "stream diverged from live at n=" + std::to_string(n) +
+                            " seed=" + std::to_string(seed));
     }
   }
   ident.print("streaming vs live: delivered-packet identity (§5.1d gate)");
@@ -90,6 +100,9 @@ int main() {
                  std::to_string(r.first_delivery_pos),
                  Table::num(r.mean_decode_latency, 6),
                  std::to_string(r.stream_max_push_work)});
+    const std::string at = " at n=" + std::to_string(n);
+    bench::gate(r.stream_deliveries > 0, "no streaming deliveries" + at);
+    bench::gate(r.stream_max_push_work > 0, "no per-push work pin" + at);
   }
   lat.print("\nstreaming latency: decode position within the sample stream");
 
@@ -103,16 +116,22 @@ int main() {
   cfg.mode = testbed::CollectMode::Streaming;
   const auto sweep = testbed::run_n_sender_sweep(cfg, ThreadPool::shared());
 
+  const double fairness_min = bench::run_scale() < 1.0 ? 0.80 : 0.90;
   Table fair({"n", "mean tput", "fair share", "ratio", "fairness", "loss"});
-  for (const auto& pt : sweep.points)
+  for (const auto& pt : sweep.points) {
     fair.add_row({std::to_string(pt.n), Table::num(pt.mean_throughput, 4),
                   Table::num(pt.fair_share, 4),
                   Table::num(pt.mean_throughput / pt.fair_share, 3),
                   Table::num(pt.fairness, 4), Table::pct(pt.mean_loss, 1)});
+    if (pt.n == 3)
+      bench::gate(pt.fairness >= fairness_min,
+                  "streaming Jain fairness " + std::to_string(pt.fairness) +
+                      " below " + std::to_string(fairness_min) + " at n=3");
+  }
   fair.print("\nn-sender sweep on the streaming route: fair-share ratio");
 
   std::printf("\nThe stream delivers the offline route's packets "
               "bit-identically, while the\ndecode lands a fixed window past "
               "each reception instead of at end-of-log.\n");
-  return 0;
+  return bench::exit_status();
 }

@@ -74,7 +74,8 @@ run_sanitizer_leg() {  # $1 = asan|tsan
   cmake --build "$build_dir" -j "$(nproc)"
   (cd "$build_dir" && ctest --output-on-failure -j "$jobs")
 
-  # Fast bench subset: exit codes + scaled wall budgets, no drift diff.
+  # Fast bench subset: exit codes (the benches' own gates) + scaled wall
+  # budgets, no drift diff.
   "./$build_dir/bench/run_all" --check \
     --only "$SAN_BENCHES" --wall-scale "$SAN_WALL_SCALE" \
     --out "$build_dir/BENCH_sanitize.json"
@@ -156,12 +157,13 @@ cmake --build build -j "$(nproc)"
 
 # --- Bench gates, at the committed baseline's (default) scale: the driver
 # runs EVERY deterministic paper bench (headline subset + the folded
-# fig_*/lemma_* sweeps), parses its own output and fails on
-# detector-accuracy drift, Fig 5-3 BER non-monotonicity, an n_sender_sweep
-# fair-share ratio below 0.9 of 1/n, a per-bench wall-time budget blowout —
-# and on ANY stdout drift from bench/baselines (every bench is sharded-RNG
-# reproducible, so a changed digit means changed behavior; regenerate the
-# baseline deliberately when that is intended). ---
+# fig_*/lemma_* sweeps). Each bench checks its own paper claims (detector
+# operating point, Fig 5-3 BER monotonicity, fair share, head-to-head
+# ordering, streaming identity, farm determinism/soak) and exits 1 when one
+# breaks; the driver fails on a non-zero exit, a per-bench wall-time budget
+# blowout, and ANY stdout drift from bench/baselines (every bench is
+# sharded-RNG reproducible, so a changed digit means changed behavior;
+# regenerate the baseline deliberately when that is intended). ---
 ./build/bench/run_all --check \
   --baseline bench/baselines/BENCH_decoder.json \
   --out build/BENCH_decoder.json

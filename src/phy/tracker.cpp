@@ -333,14 +333,6 @@ ChunkDecoder::Result ChunkDecoder::decode(const CVec& buf,
       }
       const double timing_err = terr_den > 1e-9 ? -terr_num / terr_den : 0.0;
 
-#ifdef ZZ_TRACKER_DEBUG
-      std::fprintf(stderr,
-                   "blk %zu k0=%zu e_phi=%+.3f amp=%.3f e_t=%+.3f f=%+.5f "
-                   "mu=%+.3f argh=%+.3f\n",
-                   b, bk0, phase_err, amp_ratio, timing_err,
-                   est.params.freq_offset, est.params.mu,
-                   std::arg(est.params.h));
-#endif
       // Apply the corrections.
       auto& p = est.params;
       const double dphi = gains_.phase * phase_err;

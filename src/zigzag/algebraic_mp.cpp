@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <optional>
 #include <stdexcept>
 
@@ -252,10 +251,6 @@ class MpEngine {
         if (den > 1e-9) {
           const cplx corr = num / den;
           const double mag = std::abs(corr);
-#ifdef ZZ_MP_DEBUG
-          std::fprintf(stderr, "refit p=%zu c=%zu [%zu,%zu) corr=%.3f/%+.3f\n",
-                       p, c, k0, k1, mag, std::arg(corr));
-#endif
           if (mag > 0.5 && mag < 2.0) {
             links_[p][c].est.params.h *= corr;
             params.h *= corr;

@@ -692,24 +692,6 @@ class Engine {
     }
     for (std::size_t k = k0; k < k1; ++k)
       add_presence(c, p, k, l.pres_power, -1.0);
-#ifdef ZZ_ZIGZAG_DEBUG
-    {
-      double ipow = 0.0, rpow = 0.0;
-      std::size_t cnt = 0;
-      for (std::size_t i = 0; i < img.size(); ++i) {
-        if (std::norm(img[i]) < 1e-12) continue;
-        ipow += std::norm(img[i]);
-        rpow += std::norm(residual_[c][static_cast<std::size_t>(w.s0) + i]);
-        ++cnt;
-      }
-      std::fprintf(stderr,
-                   "sub p=%zu c=%zu [%zu,%zu) img=%.1f resid=%.2f h=%.3f/%+.3f "
-                   "f=%+.6f mu=%+.3f\n",
-                   p, c, k0, k1, ipow / cnt, rpow / cnt,
-                   std::abs(l.est.params.h), std::arg(l.est.params.h),
-                   l.est.params.freq_offset, l.est.params.mu);
-    }
-#endif
   }
 
   void subtract_everywhere(std::size_t p, std::size_t k0, std::size_t k1) {
@@ -910,23 +892,8 @@ class Engine {
       for (std::size_t r = 0; r < P_; ++r) others += pres_[c][r][n];
       foreign_acc += e * others;
     }
-    if (den < 32.0 * own) {
-#ifdef ZZ_ZIGZAG_DEBUG
-      std::fprintf(stderr, "  retro q=%zu c=%zu skip den=%.1f\n", q, c, den);
-#endif
-      return;  // too little image energy to trust
-    }
-    if (foreign_acc / den > 0.3 * own) {
-#ifdef ZZ_ZIGZAG_DEBUG
-      std::fprintf(stderr, "  retro q=%zu c=%zu skip foreign=%.2f own=%.2f\n",
-                   q, c, foreign_acc / den, own);
-#endif
-      return;
-    }
-#ifdef ZZ_ZIGZAG_DEBUG
-    std::fprintf(stderr, "  retro q=%zu c=%zu eps=%.3f/%+.3f den=%.0f\n", q, c,
-                 std::abs(num / den), std::arg(num / den), den);
-#endif
+    if (den < 32.0 * own) return;  // too little image energy to trust
+    if (foreign_acc / den > 0.3 * own) return;
     cplx eps = num / den;
     if (std::abs(eps) > 0.5) eps *= 0.5 / std::abs(eps);
 
@@ -1000,10 +967,6 @@ class Engine {
             residual_[c][static_cast<std::size_t>(n)] -= delta;
             imgs_[q][c][static_cast<std::size_t>(n)] += delta;
           }
-#ifdef ZZ_ZIGZAG_DEBUG
-          std::fprintf(stderr, "  retro-mu q=%zu c=%zu dmu=%+.3f mu=%+.3f\n",
-                       q, c, dmu, l.est.params.mu);
-#endif
         }
       }
     }

@@ -10,13 +10,15 @@
 // headline subset the ROADMAP's perf/accuracy trajectory tracks
 // (table_5_1_micro, fig_5_3_ber, n_sender_sweep, baseline_comparison,
 // streaming_pipeline, ap_farm) plus the remaining fig_*/lemma_* benches,
-// all sharded-RNG reproducible. Each bench's stdout (stderr merged) is
-// captured verbatim into the JSON together with its wall-clock time.
+// all sharded-RNG reproducible. Each bench's stdout is captured verbatim
+// into the JSON together with its wall-clock time; its stderr is captured
+// apart and kept out of the JSON and the drift diff.
 //
 // Each bench checks the paper claims it reproduces on the values it
-// computes (bench::gate in bench_util.h) and exits 1 when one breaks; the
-// driver reads no table. A bench that exits non-zero fails the run, and
-// its captured output is echoed to stderr.
+// computes (bench::gate in bench_util.h, which writes to stderr) and exits
+// 1 when one breaks; the driver reads no table. A bench that exits
+// non-zero fails the run, and its stderr (the gate messages, or a crash or
+// sanitizer report) is echoed to the driver's stderr.
 //
 // --check adds the gates only the driver can apply: each bench's wall time
 // against its budget (~2.5x measured cost) and, with --baseline, a
@@ -29,6 +31,7 @@
 // multiplier --check would hard-fail budgets that measure the tool, not a
 // regression.
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -44,6 +47,7 @@ struct BenchRun {
   int exit_code = -1;
   double wall_ms = 0.0;
   std::vector<std::string> stdout_lines;
+  std::vector<std::string> stderr_lines;
 };
 
 // The committed baseline: the headline perf/accuracy subset first, then
@@ -89,34 +93,57 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+// Append every line of `f` to `lines`, without the newlines.
+void read_lines(FILE* f, std::vector<std::string>& lines) {
+  std::string line;
+  char buf[4096];
+  while (std::fgets(buf, sizeof buf, f)) {
+    line += buf;
+    if (!line.empty() && line.back() == '\n') {
+      line.pop_back();
+      lines.push_back(line);
+      line.clear();
+    }
+  }
+  if (!line.empty()) lines.push_back(line);
+}
+
 BenchRun run_bench(const std::string& bin_dir, const std::string& name) {
   BenchRun r;
   r.name = name;
-  // Merge stderr into the captured stream so failures are visible in the
-  // baseline file, not lost to the console. bin_dir is single-quoted so
-  // spaces/metacharacters in the path survive the shell.
-  const std::string cmd = "'" + bin_dir + "/" + name + "' 2>&1";
+  // stdout comes through the pipe; stderr goes to a temporary file, so a
+  // failed gate's message is reported once, as the exit code, and never
+  // as a stdout drift. bin_dir and the temporary path are single-quoted
+  // so spaces/metacharacters in them survive the shell.
+  const char* tmpdir = std::getenv("TMPDIR");
+  std::string err_path =
+      std::string(tmpdir && *tmpdir ? tmpdir : "/tmp") + "/run_all_XXXXXX";
+  const int err_fd = mkstemp(err_path.data());
+  if (err_fd < 0) {
+    r.exit_code = 127;
+    r.stderr_lines.push_back("run_all: cannot create " + err_path);
+    return r;
+  }
+  close(err_fd);
+  const std::string cmd =
+      "'" + bin_dir + "/" + name + "' 2>'" + err_path + "'";
   const auto t0 = std::chrono::steady_clock::now();
   FILE* pipe = popen(cmd.c_str(), "r");
   if (!pipe) {
     r.exit_code = 127;
-    r.stdout_lines.push_back("run_all: failed to spawn " + cmd);
+    r.stderr_lines.push_back("run_all: failed to spawn " + cmd);
+    std::remove(err_path.c_str());
     return r;
   }
-  std::string line;
-  char buf[4096];
-  while (std::fgets(buf, sizeof buf, pipe)) {
-    line += buf;
-    if (!line.empty() && line.back() == '\n') {
-      line.pop_back();
-      r.stdout_lines.push_back(line);
-      line.clear();
-    }
-  }
-  if (!line.empty()) r.stdout_lines.push_back(line);
+  read_lines(pipe, r.stdout_lines);
   const int status = pclose(pipe);
   const auto t1 = std::chrono::steady_clock::now();
   r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+  if (FILE* err = std::fopen(err_path.c_str(), "r")) {
+    read_lines(err, r.stderr_lines);
+    std::fclose(err);
+  }
+  std::remove(err_path.c_str());
   if (status < 0) {
     r.exit_code = status;
   } else if (WIFEXITED(status)) {
@@ -442,7 +469,7 @@ int main(int argc, char** argv) {
     if (r.exit_code != 0) {
       ++failures;
       // The bench's gate messages, or a crash or sanitizer report.
-      for (const auto& l : r.stdout_lines)
+      for (const auto& l : r.stderr_lines)
         std::fprintf(stderr, "%s| %s\n", name.c_str(), l.c_str());
     }
   }

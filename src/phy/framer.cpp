@@ -13,10 +13,9 @@ FrameSync::FrameSync(FramerConfig cfg) : cfg_(cfg) {
 
 void FrameSync::close(std::uint64_t end, std::uint64_t decided_at,
                       std::vector<FrameWindow>& out) {
-  out.push_back(FrameWindow{wbegin_, end, decided_at, state_});
+  out.push_back(FrameWindow{wbegin_, end, decided_at});
   open_ = false;
   silent_run_ = 0;
-  state_ = SyncState::WaitPreamble;
 }
 
 void FrameSync::push(const cplx* data, std::size_t count,
@@ -30,7 +29,6 @@ void FrameSync::push(const cplx* data, std::size_t count,
       wbegin_ = p;
       active_end_ = p + 1;
       silent_run_ = 0;
-      state_ = SyncState::WaitPreamble;
       continue;
     }
     if (active) {
@@ -50,21 +48,6 @@ void FrameSync::push(const cplx* data, std::size_t count,
 
 void FrameSync::finish(std::vector<FrameWindow>& out) {
   if (open_) close(active_end_, pos_, out);
-}
-
-void FrameSync::note_preamble(std::uint64_t pos) {
-  if (!open_) return;
-  ZZ_DCHECK_GE(pos, wbegin_);
-  switch (state_) {
-    case SyncState::WaitPreamble:
-      state_ = SyncState::WaitPayload;
-      break;
-    case SyncState::WaitPayload:
-      state_ = SyncState::JointPending;
-      break;
-    case SyncState::JointPending:
-      break;  // already known to be a collision
-  }
 }
 
 }  // namespace zz::phy

@@ -1,22 +1,20 @@
-// Frame synchronisation for the streaming receiver — the state machine
-// that turns an unbounded sample stream into bounded reception windows.
+// Frame synchronisation for the streaming receiver — the silence-gap
+// framer that turns an unbounded sample stream into bounded reception
+// windows.
 //
 // The paper's AP (§4) never sees "a logged buffer"; it sees samples
 // arriving and must decide, online, where a reception starts and ends.
-// FrameSync is that decision, modeled on the FrameSynchroniser
-// WAIT_PREAMBLE → WAIT_PAYLOAD idiom of SNIPPETS.md (snippets 2–3) with a
-// third state for ZigZag: JOINT_PENDING, entered when a second overlapped
-// preamble is hinted inside an open window — the §4.2.1 "it's a
-// collision" moment, which tells the scheduler the window will need a
-// joint decode rather than a standard one.
+// FrameSync is that decision. Whether a window holds one packet or a
+// collision (§4.2.1) is not its concern: the window decode's detector
+// answers that on the materialized window.
 //
-// Window framing itself is energy-based: the emulated medium is exactly
-// zero between receptions (receiver noise is part of each reception's
-// buffer, lead-in and tail included — see emu::CollisionBuilder), so a run
-// of `gap_hang` silent samples closes the window at the last active
-// sample. That makes the recovered window bit-identical to the buffer the
-// offline route decodes, independent of how the stream was chunked into
-// push() calls — the property the streaming-vs-offline pins gate.
+// Framing is energy-based: the emulated medium is exactly zero between
+// receptions (receiver noise is part of each reception's buffer, lead-in
+// and tail included — see emu::CollisionBuilder), so a run of `gap_hang`
+// silent samples closes the window at the last active sample. That makes
+// the recovered window bit-identical to the buffer the offline route
+// decodes, independent of how the stream was chunked into push() calls —
+// the property the streaming-vs-offline pins gate.
 #pragma once
 
 #include <cstddef>
@@ -26,13 +24,6 @@
 #include "zz/common/types.h"
 
 namespace zz::phy {
-
-/// Where the frame tracker is inside the current window.
-enum class SyncState {
-  WaitPreamble,  ///< hunting for a packet start (idle, or window just opened)
-  WaitPayload,   ///< one preamble hinted; accumulating its payload
-  JointPending,  ///< ≥2 overlapped packets hinted — a collision window
-};
 
 struct FramerConfig {
   /// |x|² at or below this is silence. Exact zero by default: the emulated
@@ -52,13 +43,10 @@ struct FrameWindow {
   /// Stream position at which closure was decided (end + the silence hang,
   /// or the cut position) — when the window's decode can be scheduled.
   std::uint64_t decided_at = 0;
-  SyncState final_state = SyncState::WaitPreamble;  ///< state when closed
 };
 
-/// The tracker. Feed samples with push(); closed windows come back in
-/// stream order. The preamble/joint hints come from the online detection
-/// layer above (zigzag::StreamingReceiver) and only drive the state
-/// machine — framing is energy-based and hint-independent.
+/// The framer. Feed samples with push(); closed windows come back in
+/// stream order.
 class FrameSync {
  public:
   explicit FrameSync(FramerConfig cfg = {});
@@ -74,15 +62,8 @@ class FrameSync {
   /// End of stream: close the open window (if any) at the current position.
   void finish(std::vector<FrameWindow>& out);
 
-  /// Online-detection hint: a preamble was found at `pos` inside the open
-  /// window. First hint: WAIT_PREAMBLE → WAIT_PAYLOAD; a later overlapped
-  /// hint: WAIT_PAYLOAD → JOINT_PENDING.
-  void note_preamble(std::uint64_t pos);
-
   bool in_window() const { return open_; }
-  SyncState state() const { return state_; }
   std::uint64_t position() const { return pos_; }
-  std::uint64_t window_begin() const { return wbegin_; }
 
  private:
   void close(std::uint64_t end, std::uint64_t decided_at,
@@ -94,7 +75,6 @@ class FrameSync {
   std::uint64_t wbegin_ = 0;
   std::uint64_t active_end_ = 0;   ///< one past the last active sample
   std::size_t silent_run_ = 0;
-  SyncState state_ = SyncState::WaitPreamble;
 };
 
 }  // namespace zz::phy

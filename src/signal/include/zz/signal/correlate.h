@@ -75,41 +75,6 @@ class SlidingCorrelator {
   /// Convenience: prepare + correlate into a fresh vector.
   CVec correlate(const CVec& stream, double freq_offset_cps = 0.0);
 
-  // --- Incremental (streaming) preparation --------------------------------
-  // The overlap-save block boundaries are anchored at the stream start, so
-  // appending samples never re-transforms history: a block is FFT'd exactly
-  // once, as soon as its full input segment exists, and is bit-identical to
-  // what a batch prepare() of the final stream would build. Only the
-  // zero-padded partial tail is (re)transformed per query — bounded by one
-  // FFT block, i.e. O(1) in stream length.
-
-  /// Reset to an empty appended stream (alignment 0 = first sample).
-  /// Ends any batch preparation; extend()/correlate_range() take over.
-  void begin_stream();
-
-  /// Append samples to the stream begun by begin_stream(). Amortized
-  /// O(log N) work per sample, independent of how the stream is chunked.
-  void extend(const cplx* data, std::size_t count);
-  void extend(const CVec& samples) { extend(samples.data(), samples.size()); }
-
-  /// Samples appended since begin_stream().
-  std::size_t stream_length() const { return stream_len_; }
-
-  /// Alignments of the appended stream (length - ref + 1, or 0).
-  std::size_t stream_positions() const;
-
-  /// Alignments whose overlap-save block is finalized: for d <
-  /// final_positions(), correlate_range() returns values that are
-  /// bit-independent of any samples appended later (the block's FFT input
-  /// is complete), so online scans stay identical under any chunking.
-  std::size_t final_positions() const;
-
-  /// Γ'(Δ) for Δ in [from, to) of the appended stream, to ≤
-  /// stream_positions(). Bit-identical to prepare(full stream) +
-  /// correlate() at the same alignments.
-  void correlate_range(double freq_offset_cps, std::size_t from,
-                       std::size_t to, CVec& out);
-
  private:
   void ensure_kernel(double freq_offset_cps);
 
@@ -124,14 +89,6 @@ class SlidingCorrelator {
   double kernel_freq_ = 0.0;     ///< hypothesis kernel_ was built for
   bool kernel_ready_ = false;
   CVec work_;                    ///< per-block product / inverse buffer
-
-  // Streaming state (begin_stream / extend / correlate_range route).
-  bool streaming_ = false;
-  std::size_t stream_len_ = 0;   ///< samples appended since begin_stream()
-  std::size_t nfinal_ = 0;       ///< finalized (fully fed, FFT'd) blocks
-  std::vector<CVec> sblocks_;    ///< forward FFTs of finalized blocks
-  CVec tail_;                    ///< raw samples past the finalized blocks
-  CVec tailblk_;                 ///< scratch: zero-padded partial tail block
 };
 
 /// Sliding sum of |y|² over `window` samples: out[d] = Σ_{k<window}

@@ -6,14 +6,7 @@
 //
 //   push(samples)
 //     → sig::SampleRing            bounded retention, absolute positions
-//     → phy::FrameSync             WAIT_PREAMBLE → WAIT_PAYLOAD →
-//                                  JOINT_PENDING, silence-gap framing
-//     → online preamble hints      one streaming SlidingCorrelator
-//                                  (begin_stream/extend), every client
-//                                  frequency hypothesis sharing its block
-//                                  transforms, evaluated only over
-//                                  finalized blocks so hints are identical
-//                                  under any push() chunking
+//     → phy::FrameSync             silence-gap framing into windows
 //     → window decode              as soon as the window's interference
 //                                  extent is resolved (the silence hang),
 //                                  the materialized window flows through
@@ -21,17 +14,20 @@
 //                                  detector, matcher, chunk decoder and
 //                                  DecodeCache included
 //
+// The §4.2.1 "is it a collision?" decision is made once, by the window
+// decode's detector on the materialized window, exactly as offline; the
+// stream side runs no correlator of its own.
+//
 // Because the materialized window is bit-identical to the buffer the
 // offline route logs (FrameSync recovers reception boundaries exactly),
 // the delivered packets are bit-identical to ZigZagReceiver::receive on
 // the same receptions — at ANY chunking of the input stream. That is the
-// gated contract; the online hints only drive the state machine and the
-// latency accounting, never the decode.
+// gated contract.
 //
 // Work per push() is O(chunk + windows closed this push): each sample is
-// ring-buffered once, framed once, hint-scanned once per client, and
-// decoded once inside its window — nothing rescans history, so per-sample
-// work is O(1) in stream length (StreamingStats::max_push_work pins it).
+// ring-buffered once, framed once and decoded once inside its window —
+// nothing rescans history, so per-sample work is O(1) in stream length
+// (StreamingStats::max_push_work pins it).
 #pragma once
 
 #include <cstddef>
@@ -42,7 +38,6 @@
 #include "zz/common/reentry.h"
 #include "zz/common/types.h"
 #include "zz/phy/framer.h"
-#include "zz/signal/correlate.h"
 #include "zz/signal/ring.h"
 #include "zz/zigzag/receiver.h"
 
@@ -53,10 +48,6 @@ struct StreamingOptions {
   /// pending-collision store. Streaming adds no decode knobs of its own.
   ReceiverOptions receiver{};
   phy::FramerConfig framer{};
-  /// Assumed noise floor for the online hint threshold (the authoritative
-  /// per-window detection re-estimates its own floor offline; hints only
-  /// need the right order of magnitude — the emulator's floor is 1.0).
-  double hint_noise_floor = 1.0;
 };
 
 /// One packet out of the stream, with its decode timing: `decoded_at` is
@@ -72,8 +63,6 @@ struct StreamDelivered {
 struct StreamingStats {
   std::uint64_t samples_in = 0;
   std::uint64_t windows = 0;        ///< reception windows closed & decoded
-  std::uint64_t joint_windows = 0;  ///< closed in JOINT_PENDING state
-  std::uint64_t preamble_hints = 0; ///< online hints fed to the tracker
   std::size_t max_push_work = 0;    ///< peak samples touched by one push()
   std::size_t max_retained = 0;     ///< peak ring occupancy (samples)
 };
@@ -82,9 +71,13 @@ class StreamingReceiver {
  public:
   explicit StreamingReceiver(StreamingOptions opt = {});
 
-  /// Clients, mirrored into the inner receiver and the hint scanner.
-  void add_client(const phy::SenderProfile& profile);
-  void add_clients(std::span<const phy::SenderProfile> profiles);
+  /// Clients, forwarded to the inner receiver.
+  void add_client(const phy::SenderProfile& profile) {
+    rx_.add_client(profile);
+  }
+  void add_clients(std::span<const phy::SenderProfile> profiles) {
+    rx_.add_clients(profiles);
+  }
 
   /// Feed stream samples. Returns every packet whose decode this chunk
   /// unlocked (windows it closed), in stream order.
@@ -96,7 +89,6 @@ class StreamingReceiver {
   /// End of stream: close and decode the open window, if any.
   std::vector<StreamDelivered> finish();
 
-  phy::SyncState state() const { return framer_.state(); }
   std::uint64_t position() const { return framer_.position(); }
   const StreamingStats& stats() const { return stats_; }
   std::size_t retained_samples() const { return ring_.size(); }
@@ -104,31 +96,12 @@ class StreamingReceiver {
   std::size_t pending_collisions() const { return rx_.pending_collisions(); }
 
  private:
-  /// Anchor the hint scanner at a window begin (no-op when already there).
-  void ensure_scanner(std::uint64_t window_begin);
-  /// Feed the scanner ring samples up to `upto` (absolute position).
-  void feed_scanner(std::uint64_t upto);
-  /// Evaluate hint alignments up to `limit` (scanner-relative).
-  void scan_hints(std::size_t limit);
   void handle_closed(const phy::FrameWindow& w,
                      std::vector<StreamDelivered>& out);
 
-  StreamingOptions opt_;
   ZigZagReceiver rx_;              ///< the unmodified offline engine
   sig::SampleRing ring_;
   phy::FrameSync framer_;
-  sig::SlidingCorrelator scan_;    ///< streaming-mode hint correlator
-  std::vector<double> hint_freqs_;       ///< per client: δf̂ hypothesis
-  std::vector<double> hint_thresholds_;  ///< per client: |Γ'| threshold
-  bool scanner_live_ = false;
-  std::uint64_t scan_base_ = 0;    ///< absolute position of alignment 0
-  std::uint64_t scan_fed_ = 0;     ///< absolute position fed so far
-  std::size_t scan_next_ = 0;      ///< next alignment to evaluate
-  std::uint64_t last_hint_ = 0;    ///< dedup guard (absolute position)
-  bool any_hint_ = false;
-  CVec scan_chunk_;                ///< scratch: ring → scanner copies
-  CVec scan_corr_;                 ///< scratch: per-hypothesis Γ' range
-  std::vector<double> scan_best_;  ///< scratch: best ratio per alignment
   CVec window_buf_;                ///< scratch: materialized window
   std::vector<phy::FrameWindow> windows_;  ///< scratch: closed this push
   StreamingStats stats_;

@@ -1,99 +1,15 @@
 #include "zz/zigzag/streaming.h"
 
 #include <algorithm>
-#include <cmath>
-
-#include "zz/common/check.h"
-#include "zz/phy/preamble.h"
+#include <utility>
 
 namespace zz::zigzag {
 
 StreamingReceiver::StreamingReceiver(StreamingOptions opt)
-    : opt_(std::move(opt)),
-      rx_(opt_.receiver),
-      ring_(4096),
-      framer_(opt_.framer),
-      scan_(phy::preamble_waveform(opt_.receiver.detector.preamble_len)) {}
-
-void StreamingReceiver::add_client(const phy::SenderProfile& profile) {
-  rx_.add_client(profile);
-  hint_freqs_.push_back(profile.freq_offset);
-  // Expected-peak-height threshold, same statistic as the offline detector
-  // (§4.2.1: |Γ'| ≈ E_pre·ĥ at a true start) with the assumed noise floor
-  // standing in for the per-window estimate the offline pass will make.
-  const DetectorConfig& dcfg = opt_.receiver.detector;
-  const double snr_linear = std::pow(10.0, profile.snr_db / 10.0);
-  hint_thresholds_.push_back(
-      dcfg.beta * dcfg.calibration *
-      phy::preamble_waveform_energy(dcfg.preamble_len) *
-      std::sqrt(std::max(snr_linear, 1e-6) *
-                std::max(opt_.hint_noise_floor, 1e-12)));
-}
-
-void StreamingReceiver::add_clients(
-    std::span<const phy::SenderProfile> profiles) {
-  for (const auto& p : profiles) add_client(p);
-}
-
-void StreamingReceiver::ensure_scanner(std::uint64_t window_begin) {
-  if (scanner_live_ && scan_base_ == window_begin) return;
-  scan_.begin_stream();
-  scan_base_ = window_begin;
-  scan_fed_ = window_begin;
-  scan_next_ = 0;
-  any_hint_ = false;
-  scanner_live_ = true;
-}
-
-void StreamingReceiver::feed_scanner(std::uint64_t upto) {
-  if (upto <= scan_fed_) return;
-  ring_.copy_range(scan_fed_, upto, scan_chunk_);
-  scan_.extend(scan_chunk_);
-  last_work_ += scan_chunk_.size();
-  scan_fed_ = upto;
-}
-
-void StreamingReceiver::scan_hints(std::size_t limit) {
-  if (limit <= scan_next_) return;
-  const std::size_t count = limit - scan_next_;
-  if (hint_freqs_.empty()) {
-    scan_next_ = limit;
-    return;
-  }
-  // Every client hypothesis shares the scanner's block transforms; only
-  // the short reference kernel is rebuilt per hypothesis.
-  scan_best_.assign(count, 0.0);
-  for (std::size_t c = 0; c < hint_freqs_.size(); ++c) {
-    scan_.correlate_range(hint_freqs_[c], scan_next_, limit, scan_corr_);
-    const double thr = hint_thresholds_[c];
-    for (std::size_t i = 0; i < count; ++i)
-      scan_best_[i] = std::max(scan_best_[i], std::abs(scan_corr_[i]) / thr);
-  }
-  last_work_ += count * hint_freqs_.size();
-  const std::size_t min_sep = opt_.receiver.detector.min_separation;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (scan_best_[i] < 1.0) continue;
-    const std::uint64_t pos = scan_base_ + scan_next_ + i;
-    // One hint per packet start: threshold runs around one peak collapse.
-    if (any_hint_ && pos - last_hint_ < min_sep) continue;
-    framer_.note_preamble(pos);
-    last_hint_ = pos;
-    any_hint_ = true;
-    ++stats_.preamble_hints;
-  }
-  scan_next_ = limit;
-}
+    : rx_(std::move(opt.receiver)), ring_(4096), framer_(opt.framer) {}
 
 void StreamingReceiver::handle_closed(const phy::FrameWindow& w,
                                       std::vector<StreamDelivered>& out) {
-  // Flush the hint scan over the whole window (the stream under it is now
-  // fixed, so the tail alignments past the last finalized block evaluate
-  // identically regardless of how the window arrived in pushes). Closure
-  // already snapshotted the tracker state into w.final_state.
-  ensure_scanner(w.begin);
-  feed_scanner(w.end);
-  scan_hints(scan_.stream_positions());
-
   // Decode the materialized window through the unmodified offline engine.
   // The window IS the logged reception — bit for bit — so everything
   // downstream (detector, matcher, chunk decoder, DecodeCache, pending
@@ -101,12 +17,10 @@ void StreamingReceiver::handle_closed(const phy::FrameWindow& w,
   ring_.copy_range(w.begin, w.end, window_buf_);
   last_work_ += window_buf_.size();
   ++stats_.windows;
-  if (w.final_state == phy::SyncState::JointPending) ++stats_.joint_windows;
   for (auto& d : rx_.receive(window_buf_))
     out.push_back(StreamDelivered{std::move(d), w.begin, w.end, w.decided_at});
 
   ring_.drop_before(w.end);
-  scanner_live_ = false;
 }
 
 std::vector<StreamDelivered> StreamingReceiver::push(const cplx* data,
@@ -123,17 +37,9 @@ std::vector<StreamDelivered> StreamingReceiver::push(const cplx* data,
   std::vector<StreamDelivered> out;
   for (const auto& w : windows_) handle_closed(w, out);
 
-  if (framer_.in_window()) {
-    // Advance the online scan; only alignments whose overlap-save block is
-    // final are evaluated, so hints are identical under any chunking.
-    ensure_scanner(framer_.window_begin());
-    feed_scanner(ring_.end_pos());
-    scan_hints(scan_.final_positions());
-  } else {
-    // Idle medium: nothing retained — the ring stays bounded by the
-    // largest window, not by stream length.
-    ring_.drop_before(ring_.end_pos());
-  }
+  // Idle medium: nothing retained — the ring stays bounded by the largest
+  // window, not by stream length.
+  if (!framer_.in_window()) ring_.drop_before(ring_.end_pos());
   stats_.max_push_work = std::max(stats_.max_push_work, last_work_);
   return out;
 }

@@ -1,8 +1,7 @@
 // Tests for the streaming receiver pipeline (sample-in → packet-out):
-// ring-buffer ingest, the incremental SlidingCorrelator stream, the
-// WAIT_PREAMBLE → WAIT_PAYLOAD → JOINT_PENDING frame tracker, and the
-// gated streaming contract — bit-identical packets vs the offline route
-// under ANY chunking of the input, with bounded per-push work.
+// ring-buffer ingest, silence-gap framing, and the gated streaming
+// contract — bit-identical packets vs the offline route under ANY chunking
+// of the input, with bounded per-push work.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,7 +14,6 @@
 #include "zz/phy/preamble.h"
 #include "zz/phy/receiver.h"
 #include "zz/phy/transmitter.h"
-#include "zz/signal/correlate.h"
 #include "zz/signal/ring.h"
 #include "zz/testbed/scenario.h"
 #include "zz/zigzag/receiver.h"
@@ -87,94 +85,7 @@ TEST(SampleRing, DropClampsAndResetForgets) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming SlidingCorrelator: extend() must be bit-identical to a batch
-// prepare() of the same stream, at every hypothesis, under any chunking.
-// ---------------------------------------------------------------------------
-
-CVec noise_stream(Rng& rng, std::size_t n) {
-  CVec v(n);
-  for (auto& x : v) x = rng.gaussian_c(1.0);
-  return v;
-}
-
-TEST(StreamingCorrelator, ExtendMatchesPrepareBitForBit) {
-  Rng rng(42);
-  const CVec ref = phy::preamble_waveform(phy::kPreambleLength);
-  const CVec stream = noise_stream(rng, 1777);
-  const double freqs[] = {0.0, 7.3e-4, -1.9e-3};
-
-  sig::SlidingCorrelator batch(ref);
-  batch.prepare(stream);
-
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    Rng part(seed);
-    sig::SlidingCorrelator inc(ref);
-    inc.begin_stream();
-    std::size_t fed = 0;
-    while (fed < stream.size()) {
-      const auto chunk = static_cast<std::size_t>(part.uniform_int(
-          1, static_cast<std::int64_t>(std::min<std::size_t>(
-                 400, stream.size() - fed))));
-      inc.extend(stream.data() + fed, chunk);
-      fed += chunk;
-    }
-    ASSERT_EQ(inc.stream_length(), stream.size());
-    ASSERT_EQ(inc.stream_positions(), batch.positions());
-    for (const double f : freqs) {
-      CVec want, got;
-      batch.correlate(f, want);
-      inc.correlate_range(f, 0, inc.stream_positions(), got);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < want.size(); ++i)
-        ASSERT_EQ(got[i], want[i]) << "freq " << f << " alignment " << i
-                                   << " partition seed " << seed;
-    }
-  }
-}
-
-TEST(StreamingCorrelator, FinalizedAlignmentsStableUnderLaterAppends) {
-  Rng rng(7);
-  const CVec ref = phy::preamble_waveform(phy::kPreambleLength);
-  const CVec stream = noise_stream(rng, 1200);
-
-  sig::SlidingCorrelator inc(ref);
-  inc.begin_stream();
-  inc.extend(stream.data(), 700);
-  const std::size_t stable = inc.final_positions();
-  ASSERT_GT(stable, 0u);
-  CVec before;
-  inc.correlate_range(4.2e-4, 0, stable, before);
-
-  inc.extend(stream.data() + 700, stream.size() - 700);
-  CVec after;
-  inc.correlate_range(4.2e-4, 0, stable, after);
-  ASSERT_EQ(before.size(), after.size());
-  for (std::size_t i = 0; i < before.size(); ++i)
-    ASSERT_EQ(before[i], after[i]) << "alignment " << i;
-}
-
-TEST(StreamingCorrelator, RangeQueriesMatchFullQuery) {
-  Rng rng(9);
-  const CVec ref = phy::preamble_waveform(phy::kPreambleLength);
-  const CVec stream = noise_stream(rng, 900);
-  sig::SlidingCorrelator inc(ref);
-  inc.begin_stream();
-  inc.extend(stream);
-  CVec full;
-  inc.correlate_range(0.0, 0, inc.stream_positions(), full);
-  // Piecewise queries over awkward sub-ranges see the same values.
-  for (std::size_t from = 0; from < full.size(); from += 131) {
-    const std::size_t to = std::min(full.size(), from + 131);
-    CVec piece;
-    inc.correlate_range(0.0, from, to, piece);
-    for (std::size_t i = 0; i < piece.size(); ++i)
-      ASSERT_EQ(piece[i], full[from + i]);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// FrameSync: exact window recovery under any chunking, and the state
-// machine of the tracker.
+// FrameSync: exact window recovery under any chunking.
 // ---------------------------------------------------------------------------
 
 TEST(FrameSync, RecoversWindowsExactlyUnderAnyChunking) {
@@ -216,36 +127,25 @@ TEST(FrameSync, ShortGapDoesNotSplitAWindow) {
   for (std::size_t i = 40; i < 60; ++i) stream[i] = cplx{0.0, 0.0};  // 20 < 24
   std::vector<phy::FrameWindow> wins;
   sync.push(stream.data(), stream.size(), wins);
-  sync.finish(wins);
+  EXPECT_TRUE(wins.empty());
+  ASSERT_TRUE(sync.in_window());
+
+  // A 30-sample gap (≥ 24) closes exactly that one window...
+  const CVec off(30, cplx{0.0, 0.0});
+  sync.push(off.data(), off.size(), wins);
   ASSERT_EQ(wins.size(), 1u);
   EXPECT_EQ(wins[0].begin, 0u);
   EXPECT_EQ(wins[0].end, 100u);  // the quiet dip is window content
-}
-
-TEST(FrameSync, TrackerStatesAdvanceAndResetPerWindow) {
-  phy::FrameSync sync;
-  std::vector<phy::FrameWindow> wins;
-  const CVec on(10, cplx{1.0, 0.0});
-  const CVec off(30, cplx{0.0, 0.0});
-
-  EXPECT_EQ(sync.state(), phy::SyncState::WaitPreamble);
-  sync.push(on.data(), on.size(), wins);
-  ASSERT_TRUE(sync.in_window());
-  sync.note_preamble(2);
-  EXPECT_EQ(sync.state(), phy::SyncState::WaitPayload);
-  sync.note_preamble(8);  // a second overlapped start: it's a collision
-  EXPECT_EQ(sync.state(), phy::SyncState::JointPending);
-  sync.note_preamble(9);  // further hints don't regress the state
-  EXPECT_EQ(sync.state(), phy::SyncState::JointPending);
-
-  sync.push(off.data(), off.size(), wins);
-  ASSERT_EQ(wins.size(), 1u);
-  EXPECT_EQ(wins[0].final_state, phy::SyncState::JointPending);
   EXPECT_FALSE(sync.in_window());
-  EXPECT_EQ(sync.state(), phy::SyncState::WaitPreamble);  // fresh tracker
 
-  sync.note_preamble(33);  // hint with no open window: ignored
-  EXPECT_EQ(sync.state(), phy::SyncState::WaitPreamble);
+  // ...and the next burst opens a fresh one.
+  const CVec on(10, cplx{1.0, 0.0});
+  sync.push(on.data(), on.size(), wins);
+  EXPECT_TRUE(sync.in_window());
+  sync.finish(wins);
+  ASSERT_EQ(wins.size(), 2u);
+  EXPECT_EQ(wins[1].begin, 130u);
+  EXPECT_EQ(wins[1].end, 140u);
 }
 
 TEST(FrameSync, MaxWindowCutsARunawayStream) {
@@ -461,23 +361,6 @@ TEST(StreamingReceiver, WindowsStraddlingPushBoundariesMatchContiguous) {
       EXPECT_EQ(split[k].window_end, whole[k].window_end);
     }
   }
-}
-
-TEST(StreamingReceiver, TrackerReachesJointPendingOnACollision) {
-  Rng rng(5);
-  const StreamScenario sc = make_stream_scenario(rng, 2, {{0, 150}, {0, 420}});
-  zigzag::StreamingOptions sopt;
-  sopt.receiver = receiver_options(2);
-  zigzag::StreamingReceiver rx(sopt);
-  rx.add_clients(sc.profiles);
-  std::vector<zigzag::StreamDelivered> got;
-  Rng part(123);
-  for (const auto& rec : sc.receptions)
-    stream_reception(rx, rec.samples, part, got);
-  // Both receptions carry two overlapped packets; the online hints must
-  // have walked the tracker to JOINT_PENDING in each window.
-  EXPECT_EQ(rx.stats().joint_windows, sc.receptions.size());
-  EXPECT_GE(rx.stats().preamble_hints, 2 * sc.receptions.size());
 }
 
 TEST(StreamingReceiver, PerPushWorkIsConstantInStreamLength) {

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 #include "zz/chan/channel.h"
 #include "zz/common/check.h"
@@ -17,7 +18,10 @@
 #include "zz/phy/scrambler.h"
 #include "zz/phy/tracker.h"
 #include "zz/phy/transmitter.h"
+#include "zz/signal/interp.h"
 #include "zz/signal/scratch.h"
+#include "zz/zigzag/algebraic_mp.h"
+#include "zz/zigzag/equation_system.h"
 #include "zz/zigzag/grid_climb.h"
 
 namespace zz::zigzag {
@@ -160,6 +164,31 @@ std::array<double, 4> sinr_required(double base_db) {
   return out;
 }
 
+// The plan route's settings: message_passing_plan's guard (symbols of
+// separation from other packets' unknown symbols, for pulse tails), and the
+// conditioning floor of a 2x2 elimination — |det| relative to the cross
+// products' magnitudes, below which the solve would amplify noise.
+constexpr std::size_t kPlanGuard = 2;
+constexpr double kMinDetRatio = 0.15;
+
+/// Least-squares fit of samples `y` to an image `img` (n samples each):
+/// {Σ conj(img)·y, Σ|img|²} over the samples the image reaches.
+std::pair<cplx, double> project(const cplx* img, const cplx* y,
+                                std::size_t n) {
+  cplx num{0.0, 0.0};
+  double den = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (std::norm(img[i]) < 1e-12) continue;
+    num += std::conj(img[i]) * y[i];
+    den += std::norm(img[i]);
+  }
+  return {num, den};
+}
+
+/// Greedy: ZigZag's §4.5 chunk scheduling with the §4.2.4/§4.3 stages.
+/// Plan: the "Collision Helps" message_passing_plan (algebraic_mp.h).
+enum class Route { Greedy, Plan };
+
 struct Link {
   bool present = false;
   std::ptrdiff_t origin = 0;
@@ -174,7 +203,6 @@ struct Link {
 
 struct PacketCtx {
   std::size_t len = 0;  ///< believed symbol count (capped until header known)
-  bool length_known = false;
   std::optional<phy::FrameHeader> header;
   phy::FrameLayout layout{};
   Modulation body_mod = Modulation::BPSK;
@@ -185,6 +213,9 @@ struct PacketCtx {
   /// when the header parses; collisions carrying the other variant render
   /// through these instead of the decided symbols.
   CVec hdr_variant[2];
+  /// Plan route: retry flag of the collision the retry/HCS header symbols
+  /// were last solved against (-1 = untouched); see maybe_parse_header.
+  int hdr_variant_hint = -1;
   double metric = 0.0;  ///< strongest detection metric (phantom triage)
   /// A detection that never produced a parseable header and stalled the
   /// schedule — most likely a correlation false positive (§5.3a notes these
@@ -195,11 +226,15 @@ struct PacketCtx {
 
 class Engine {
  public:
-  Engine(std::span<const CollisionInput> collisions,
+  /// `packet_syms` pins every placed packet's believed length (0 infers
+  /// it from buffer room).
+  Engine(Route route, std::span<const CollisionInput> collisions,
          std::span<const phy::SenderProfile> profiles, std::size_t num_packets,
-         const DecodeOptions& opt, const phy::ReceiverConfig& rxcfg,
-         DecodeCache* cache, sig::ScratchArena* ext_arena)
-      : opt_(opt),
+         std::size_t packet_syms, const DecodeOptions& opt,
+         const phy::ReceiverConfig& rxcfg, DecodeCache* cache,
+         sig::ScratchArena* ext_arena)
+      : route_(route),
+        opt_(opt),
         rxcfg_(rxcfg),
         profiles_(profiles),
         inputs_(collisions),
@@ -209,10 +244,11 @@ class Engine {
         sinr_required_(sinr_required(opt.capture_sinr_db)),
         cache_(cache),
         arena_(ext_arena ? *ext_arena : own_arena_) {
-    init();
+    init(packet_syms);
   }
 
   DecodeResult run() {
+    if (route_ == Route::Plan) return run_plan();
     pass(/*backward=*/false);
     if (opt_.backward_pass && !all_known()) {
       // Bootstrap from the packet tails (§4.3b) to finish whatever the
@@ -258,7 +294,7 @@ class Engine {
 
  private:
   // ---------------------------------------------------------------- setup
-  void init() {
+  void init(std::size_t packet_syms) {
     // decode() screens empty inputs; an engine constructed around zero
     // collisions or packets is a caller bug, not a degenerate decode.
     ZZ_CHECK_GT(C_, 0u);
@@ -284,7 +320,7 @@ class Engine {
     for (std::size_t c = 0; c < C_; ++c) {
       for (const auto& pl : inputs_[c].placements) {
         if (pl.packet >= P_)
-          throw std::invalid_argument("ZigZagDecoder: placement out of range");
+          throw std::invalid_argument("joint decode: placement out of range");
         Link& l = links_[pl.packet][c];
         l.present = true;
         l.origin = pl.detection.origin;
@@ -311,12 +347,16 @@ class Engine {
       }
     }
 
-    // Believed packet lengths: until the header is decoded, assume the
-    // packet may extend to the end of the shortest buffer it appears in.
+    // Believed packet lengths: pinned by the caller, or — until the header
+    // is decoded — up to the end of the shortest buffer the packet appears
+    // in. A packet placed in no collision has nothing to decode: zero.
     for (std::size_t p = 0; p < P_; ++p) {
-      std::size_t cap = 1u << 20;
+      bool placed = false;
+      std::size_t cap = packet_syms ? packet_syms : std::size_t{1} << 20;
       for (std::size_t c = 0; c < C_; ++c) {
         if (!links_[p][c].present) continue;
+        placed = true;
+        if (packet_syms) continue;
         const auto room = static_cast<std::ptrdiff_t>(residual_[c].size()) -
                           links_[p][c].origin - 40;
         cap = std::min(cap, static_cast<std::size_t>(
@@ -324,7 +364,7 @@ class Engine {
                                 static_cast<std::ptrdiff_t>(chan::kSps)));
       }
       PacketCtx& pk = pkts_[p];
-      pk.len = cap;
+      pk.len = placed ? cap : 0;
       pk.decided.assign(pk.len, cplx{0.0, 0.0});
       pk.known.assign(pk.len, 0);
       for (int bank = 0; bank < 2; ++bank)
@@ -332,17 +372,19 @@ class Engine {
           soft_[bank][p][c].assign(pk.len, cplx{});
           soft_ok_[bank][p][c].assign(pk.len, 0);
         }
-      // Preamble symbols are known a priori.
-      const CVec& pre = phy::preamble(rxcfg_.preamble_len);
+    }
+
+    // The plan peels each preamble with pilots and keeps no presence
+    // ledger. The greedy route takes the preambles as known and subtracts
+    // them up front (the detector estimated each copy's channel from them).
+    if (route_ == Route::Plan) return;
+    const CVec& pre = phy::preamble(rxcfg_.preamble_len);
+    for (PacketCtx& pk : pkts_)
       for (std::size_t k = 0; k < pre.size() && k < pk.len; ++k) {
         pk.decided[k] = pre[k];
         pk.known[k] = 1;
       }
-    }
-
     rebuild_presence();
-    // Subtract the a-priori-known preambles everywhere (the detector already
-    // estimated each copy's channel from them).
     for (std::size_t p = 0; p < P_; ++p)
       subtract_everywhere(p, 0, std::min<std::size_t>(rxcfg_.preamble_len,
                                                       pkts_[p].len));
@@ -539,17 +581,31 @@ class Engine {
     return pk.decided[ku];  // zero until decoded
   }
 
+  // First symbol of the stream render_u fills for p's symbols [k0, k1).
+  // The renderer draws nothing before its stream's first symbol, so a
+  // stream starting at k0 drops the chunk's leading pulse tail. The plan
+  // route starts interp_half_width zero symbols early to keep its images
+  // whole; the greedy route's refinement passes re-render whole packets.
+  std::size_t stream_base(std::size_t k0) const {
+    return route_ == Route::Plan ? k0 - std::min(k0, opt_.interp_half_width)
+                                 : k0;
+  }
+
   // Render the ISI-filtered symbol stream of packet p restricted to symbol
-  // range [k0, k1) into `u` (u[j] = symbol k0+j). ISI pulls in decided
-  // neighbours just outside the range, exactly like filtering the whole
-  // packet and masking would — without touching the other `len` symbols.
+  // range [k0, k1) into `u` (u[j] = symbol stream_base(k0)+j, zero below
+  // k0). ISI pulls in decided neighbours just outside the range, exactly
+  // like filtering the whole packet and masking would — without touching
+  // the other `len` symbols.
   void render_u(std::size_t p, std::size_t c, std::size_t k0, std::size_t k1,
                 CVec& u) const {
     const Link& l = links_[p][c];
     const auto& isi = tracked(l).params.isi;
-    u.resize(k1 - k0);
+    const std::size_t base = stream_base(k0);
+    u.resize(k1 - base);
+    std::fill(u.begin(), u.begin() + static_cast<std::ptrdiff_t>(k0 - base),
+              cplx{0.0, 0.0});
     if (isi.is_identity()) {
-      for (std::size_t k = k0; k < k1; ++k) u[k - k0] = decided_at(p, c, static_cast<std::ptrdiff_t>(k));
+      for (std::size_t k = k0; k < k1; ++k) u[k - base] = decided_at(p, c, static_cast<std::ptrdiff_t>(k));
       return;
     }
     const auto& taps = isi.taps();
@@ -560,7 +616,7 @@ class Engine {
         acc += taps[t] *
                decided_at(p, c, static_cast<std::ptrdiff_t>(k) + pre -
                                     static_cast<std::ptrdiff_t>(t));
-      u[k - k0] = acc;
+      u[k - base] = acc;
     }
   }
 
@@ -574,8 +630,8 @@ class Engine {
   // stream `u` (see render_u): one stream serves every render of the same
   // range, whatever μ̂ and ĥ. The symbol range is re-based so the synthesis
   // cost scales with the chunk, not the packet: an integer sample shift of
-  // kSps·k0 folds into the buffer offset, its drift contribution into μ and
-  // its carrier rotation into ĥ.
+  // kSps·stream_base(k0) folds into the buffer offset, its drift
+  // contribution into μ and its carrier rotation into ĥ.
   Window render_image(std::size_t p, std::size_t c, std::size_t k0,
                       std::size_t k1, const CVec& u, CVec& img,
                       bool derivative = false) const {
@@ -587,7 +643,7 @@ class Engine {
     chan::ChannelParams params = tracked(l).params;
     params.isi = sig::Fir();  // ISI already applied in render_u
     const auto shift = static_cast<std::ptrdiff_t>(
-        std::llround(chan::kSps * static_cast<double>(k0)));
+        std::llround(chan::kSps * static_cast<double>(stream_base(k0))));
     params.mu += static_cast<double>(shift) * params.drift;
     const double phi = kTwoPi * params.freq_offset * static_cast<double>(shift);
     params.h *= cplx{std::cos(phi), std::sin(phi)};
@@ -623,13 +679,8 @@ class Engine {
     const double own = std::norm(l.est.params.h);
     if (foreign / static_cast<double>(count) > 0.25 * own) return false;
 
-    cplx num{0.0, 0.0};
-    double den = 0.0;
-    for (std::size_t i = 0; i < img.size(); ++i) {
-      if (std::norm(img[i]) < 1e-12) continue;
-      num += std::conj(img[i]) * residual_[c][static_cast<std::size_t>(w.s0) + i];
-      den += std::norm(img[i]);
-    }
+    const auto [num, den] =
+        project(img.data(), residual_[c].data() + w.s0, img.size());
     if (den < 1e-9) return false;
     cplx eps = num / den - cplx{1.0, 0.0};
     if (std::abs(eps) > 0.5) eps *= 0.5 / std::abs(eps);
@@ -666,9 +717,53 @@ class Engine {
     return true;
   }
 
+  // The plan route's per-equation coefficient refit: the chunk's own signal
+  // is still in the residual, so projecting the image onto it re-measures
+  // this link's mixing coefficient. Only trusted when no other packet's
+  // unknown symbols would bias the fit (refit_clean). True when ĥ moved.
+  bool refit_gain(std::size_t p, std::size_t c, const CVec& img,
+                  const Window& w, std::size_t k0, std::size_t k1) {
+    if (!refit_clean(p, c, k0, k1)) return false;
+    const auto [num, den] =
+        project(img.data(), residual_[c].data() + w.s0, img.size());
+    if (den <= 1e-9) return false;
+    const cplx corr = num / den;
+    const double mag = std::abs(corr);
+    if (mag <= 0.5 || mag >= 2.0) return false;
+    links_[p][c].est.params.h *= corr;
+    return true;
+  }
+
+  // No unknown foreign symbols within p's chunk [k0,k1) in collision c,
+  // plus a guard-sized margin? The image's energy sits in the chunk span, so
+  // the (always occupied) full pulse-tail window need not be free.
+  bool refit_clean(std::size_t p, std::size_t c, std::size_t k0,
+                   std::size_t k1) const {
+    const Link& l = links_[p][c];
+    const double pad = static_cast<double>(kPlanGuard) * chan::kSps + 2.0;
+    const double w0 = static_cast<double>(l.origin) +
+                      chan::kSps * static_cast<double>(k0) - pad;
+    const double w1 = static_cast<double>(l.origin) +
+                      chan::kSps * static_cast<double>(k1) + pad;
+    for (std::size_t q = 0; q < P_; ++q) {
+      if (q == p || !links_[q][c].present) continue;
+      const Link& lq = links_[q][c];
+      const auto j0 = static_cast<std::ptrdiff_t>(
+          std::floor((w0 - static_cast<double>(lq.origin)) / chan::kSps)) - 1;
+      const auto j1 = static_cast<std::ptrdiff_t>(
+          std::ceil((w1 - static_cast<double>(lq.origin)) / chan::kSps)) + 1;
+      const auto len = static_cast<std::ptrdiff_t>(pkts_[q].len);
+      for (std::ptrdiff_t j = std::max<std::ptrdiff_t>(0, j0);
+           j <= std::min(len - 1, j1); ++j)
+        if (!pkts_[q].known[static_cast<std::size_t>(j)]) return false;
+    }
+    return true;
+  }
+
   // Subtract p's symbols [k0,k1) from collision c (rendering through the
   // link estimate), updating the packet's image account and the presence
-  // profile. Optionally refine the estimate from the projection first.
+  // profile. The estimate is refined from the projection first: §4.2.4's
+  // project_refine on the greedy route, the gain refit on the plan route.
   void subtract_range(std::size_t p, std::size_t c, std::size_t k0,
                       std::size_t k1) {
     Link& l = links_[p][c];
@@ -678,8 +773,11 @@ class Engine {
     render_u(p, c, k0, k1, u_scratch_);
     CVec& img = arena_.cvec(kSlotImg, 0);
     Window w = render_image(p, c, k0, k1, u_scratch_, img);
-    if (project_refine(p, c, u_scratch_, img, w, k0, k1))
-      w = render_image(p, c, k0, k1, u_scratch_, img);  // refined estimate
+    const bool refined =
+        route_ == Route::Plan
+            ? refit_gain(p, c, img, w, k0, k1)
+            : project_refine(p, c, u_scratch_, img, w, k0, k1);
+    if (refined) w = render_image(p, c, k0, k1, u_scratch_, img);
     auto& acct = imgs_[p][c];
     if (acct.empty()) acct.assign(residual_[c].size(), cplx{0.0, 0.0});
     // image_window clamps to the buffer; the subtraction below relies on it.
@@ -801,30 +899,31 @@ class Engine {
     return entry.res;
   }
 
-  void decode_chunk(std::size_t p, std::size_t c, std::size_t k0,
-                    std::size_t k1, bool backward, int bank) {
+  // Decode p's symbols [k0,k1) from collision c with the black box and
+  // commit the decisions. The view (window in `seen`) is p's own signal:
+  // residual plus everything of p already subtracted from c, over the chunk
+  // plus equalizer and pulse-tail margins. Null when the window is empty.
+  const phy::ChunkDecoder::Result* solve_chunk(std::size_t p, std::size_t c,
+                                               std::size_t k0, std::size_t k1,
+                                               bool backward, Window& seen) {
     PacketCtx& pk = pkts_[p];
     Link& l = links_[p][c];
-    // find_run / clamp_to_header / force_frontier_chunk all bound their
-    // ranges by the believed length; a chunk past it would index the
-    // decided/known/soft arrays out of range.
+    // Every caller bounds its range by the believed length; a chunk past
+    // it would index the decided/known/soft arrays out of range.
     ZZ_DCHECK_LE(k1, pk.len);
 
-    // Window of interest plus margins for the equalizer and pulse tails.
-    const auto w0 = std::max<std::ptrdiff_t>(
+    seen.s0 = std::max<std::ptrdiff_t>(
         0, static_cast<std::ptrdiff_t>(std::floor(sym_pos(p, c, static_cast<double>(k0)))) - 48);
-    const auto w1 = std::min<std::ptrdiff_t>(
+    seen.s1 = std::min<std::ptrdiff_t>(
         static_cast<std::ptrdiff_t>(residual_[c].size()),
         static_cast<std::ptrdiff_t>(std::ceil(sym_pos(p, c, static_cast<double>(k1)))) + 48);
-    if (w1 <= w0) return;
+    if (seen.s1 <= seen.s0) return nullptr;
 
-    // Reconstruct this packet's own signal view: residual plus everything of
-    // p we previously subtracted from this collision (exact add-back).
-    CVec& view = arena_.cvec(kSlotView, static_cast<std::size_t>(w1 - w0));
+    CVec& view = arena_.cvec(kSlotView, seen.size());
     const auto& acct = imgs_[p][c];
-    for (std::ptrdiff_t n = w0; n < w1; ++n) {
+    for (std::ptrdiff_t n = seen.s0; n < seen.s1; ++n) {
       const auto i = static_cast<std::size_t>(n);
-      view[static_cast<std::size_t>(n - w0)] =
+      view[static_cast<std::size_t>(n - seen.s0)] =
           residual_[c][i] + (acct.empty() ? cplx{0.0, 0.0} : acct[i]);
     }
 
@@ -835,18 +934,27 @@ class Engine {
       if (k < pre.size()) specs[k - k0].pilot = pre[k];
     }
 
-    const auto& res =
-        cached_decode(view, l.origin - w0, k0, k1, specs, l.est, backward);
+    const auto& res = cached_decode(view, l.origin - seen.s0, k0, k1, specs,
+                                    l.est, backward);
     ZZ_DCHECK_EQ(res.decided.size(), k1 - k0);
     ++chunks_;
-
     for (std::size_t k = k0; k < k1; ++k) {
       pk.decided[k] = res.decided[k - k0];
       pk.known[k] = 1;
-      soft_[bank][p][c][k] = res.soft[k - k0];
+    }
+    return &res;
+  }
+
+  void decode_chunk(std::size_t p, std::size_t c, std::size_t k0,
+                    std::size_t k1, bool backward, int bank) {
+    Window seen;
+    const auto* res = solve_chunk(p, c, k0, k1, backward, seen);
+    if (!res) return;
+    for (std::size_t k = k0; k < k1; ++k) {
+      soft_[bank][p][c][k] = res->soft[k - k0];
       soft_ok_[bank][p][c][k] = 1;
     }
-    note_quality(bank, p, c, res.noise_var, k1 - k0);
+    note_quality(bank, p, c, res->noise_var, k1 - k0);
 
     maybe_parse_header(p);
     subtract_everywhere(p, k0, k1);
@@ -859,8 +967,8 @@ class Engine {
     if (opt_.reconstruction_tracking)
       for (std::size_t q = 0; q < P_; ++q)
         if (q != p && links_[q][c].present)
-          retro_refine(q, c, static_cast<std::size_t>(w0),
-                       static_cast<std::size_t>(w1));
+          retro_refine(q, c, static_cast<std::size_t>(seen.s0),
+                       static_cast<std::size_t>(seen.s1));
   }
 
   // Measure the reconstruction error of packet q's already-subtracted image
@@ -999,46 +1107,73 @@ class Engine {
     Bits bits;
     bits.reserve(phy::kHeaderBits);
     for (std::size_t k = h0; k < h1; ++k) bpsk.append_bits(pk.decided[k], bits);
-    const auto header = phy::decode_header(bits);
+    auto header = phy::decode_header(bits);
+    if (!header && pk.hdr_variant_hint >= 0) {
+      // Retry-variant completion (plan route only): an eliminated or
+      // mixed-source header is inconsistent exactly at the retry and HCS
+      // bits, the only ones that differ between transmissions. Both follow
+      // from the other field bits and the solving collision's retry flag:
+      // rebuild and re-parse. (A wrong field bit would survive the new HCS;
+      // delivery is still gated by the §5.1(f) BER criterion and body CRC.)
+      Bits fixed = bits;
+      fixed[phy::kHeaderRetryBit] = pk.hdr_variant_hint ? 1 : 0;
+      const Bits head(fixed.begin(),
+                      fixed.begin() +
+                          static_cast<std::ptrdiff_t>(phy::kHeaderFieldBits));
+      const std::uint8_t hcs = phy::crc8_bits(head);
+      for (std::size_t i = 0; i < phy::kHeaderHcsBits; ++i)
+        fixed[phy::kHeaderFieldBits + i] =
+            static_cast<std::uint8_t>((hcs >> i) & 1u);
+      header = phy::decode_header(fixed);
+    }
     if (!header) return;
 
     pk.header = *header;
     pk.layout = phy::layout_for(*header);
     pk.body_mod = header->payload_mod;
 
-    // Pre-encode both retry-flag header variants for image rendering.
-    const phy::Modulator hdr_bpsk(Modulation::BPSK);
+    // Pre-encode both retry-flag header variants for image rendering, and
+    // re-anchor the decided header on the parsed one: a no-op after a clean
+    // parse (every header bit is a field or HCS bit), a repair after a
+    // completion.
     for (int v = 0; v < 2; ++v) {
       phy::FrameHeader hv = *header;
       hv.retry = v != 0;
-      pk.hdr_variant[v] = hdr_bpsk.modulate(phy::encode_header(hv));
+      pk.hdr_variant[v] = bpsk.modulate(phy::encode_header(hv));
     }
+    for (std::size_t k = h0; k < h1; ++k)
+      pk.decided[k] = pk.hdr_variant[header->retry ? 1 : 0][k - h0];
 
-    // Re-map the profile if the header names a different client than the
-    // detector guessed (the preamble itself is sender-agnostic, and two
-    // clients' oscillator offsets can sit within the slope-measurement
-    // noise). Snap grossly-off link parameters to the right profile,
-    // keeping the phase continuous at each link's last validated position.
-    for (std::size_t pi = 0; pi < profiles_.size(); ++pi)
-      if (profiles_[pi].id == header->sender_id) {
-        pk.profile_index = static_cast<int>(pi);
-        break;
-      }
-    if (pk.profile_index >= 0 &&
-        static_cast<std::size_t>(pk.profile_index) < profiles_.size()) {
-      const auto& prof = profiles_[static_cast<std::size_t>(pk.profile_index)];
-      for (std::size_t c = 0; c < C_; ++c) {
-        Link& l = links_[p][c];
-        if (!l.present) continue;
-        if (std::abs(l.est.params.freq_offset - prof.freq_offset) > 8e-5) {
-          const double df = prof.freq_offset - l.est.params.freq_offset;
-          l.est.params.freq_offset = prof.freq_offset;
-          const double comp = -kTwoPi * df * l.last_track_pos;
-          l.est.params.h *= cplx{std::cos(comp), std::sin(comp)};
+    // Greedy route: re-map the profile if the header names a different
+    // client than the detector guessed (the preamble itself is
+    // sender-agnostic, and two clients' oscillator offsets can sit within
+    // the slope-measurement noise). Snap grossly-off link parameters to the
+    // right profile, keeping the phase continuous at each link's last
+    // validated position. The plan route skips this: its placements name
+    // their profile, and it never updates last_track_pos (the packet start),
+    // so a snap there would break the phase at the link's current position.
+    if (route_ == Route::Greedy) {
+      for (std::size_t pi = 0; pi < profiles_.size(); ++pi)
+        if (profiles_[pi].id == header->sender_id) {
+          pk.profile_index = static_cast<int>(pi);
+          break;
         }
-        if (opt_.isi_reconstruction && !prof.isi.is_identity()) {
-          l.est.params.isi = prof.isi;
-          l.est.equalizer = prof.equalizer;
+      if (pk.profile_index >= 0 &&
+          static_cast<std::size_t>(pk.profile_index) < profiles_.size()) {
+        const auto& prof = profiles_[static_cast<std::size_t>(pk.profile_index)];
+        for (std::size_t c = 0; c < C_; ++c) {
+          Link& l = links_[p][c];
+          if (!l.present) continue;
+          if (std::abs(l.est.params.freq_offset - prof.freq_offset) > 8e-5) {
+            const double df = prof.freq_offset - l.est.params.freq_offset;
+            l.est.params.freq_offset = prof.freq_offset;
+            const double comp = -kTwoPi * df * l.last_track_pos;
+            l.est.params.h *= cplx{std::cos(comp), std::sin(comp)};
+          }
+          if (opt_.isi_reconstruction && !prof.isi.is_identity()) {
+            l.est.params.isi = prof.isi;
+            l.est.equalizer = prof.equalizer;
+          }
         }
       }
     }
@@ -1243,13 +1378,7 @@ class Engine {
     const detail::GridClimb climb = detail::climb_grid([&](int i) {
       l.est.params.mu = mu0 + step * i;
       const cplx* vw = view_from(render_image(p, c, 0, pk.len, u_full, img));
-      cplx num{0.0, 0.0};
-      double den = 0.0;
-      for (std::size_t j = 0; j < img.size(); ++j) {
-        if (std::norm(img[j]) < 1e-12) continue;
-        num += std::conj(img[j]) * vw[j];
-        den += std::norm(img[j]);
-      }
+      const auto [num, den] = project(img.data(), vw, img.size());
       corr[static_cast<std::size_t>(i + kHalf)] =
           den > 1e-9 ? num / den : cplx{1.0, 0.0};
       return den > 1e-9 ? std::abs(num) / std::sqrt(den) : 0.0;
@@ -1427,6 +1556,121 @@ class Engine {
     }
   }
 
+  // ------------------------------------------------------------ plan route
+  // The "Collision Helps" solve: plan the chunk-equation geometry with
+  // message_passing_plan and carry the steps out in order. Each solved
+  // chunk (peeled or eliminated) is substituted into every equation and
+  // never revisited.
+  DecodeResult run_plan() {
+    Pattern pattern;
+    pattern.lengths.resize(P_);
+    for (std::size_t p = 0; p < P_; ++p) pattern.lengths[p] = pkts_[p].len;
+    pattern.collisions.resize(C_);
+    for (std::size_t c = 0; c < C_; ++c)
+      for (const auto& pl : inputs_[c].placements)
+        pattern.collisions[c].push_back(
+            {pl.packet, static_cast<std::ptrdiff_t>(std::llround(
+                            static_cast<double>(pl.detection.origin) /
+                            chan::kSps))});
+    const MpPlan plan = message_passing_plan(pattern, kPlanGuard);
+
+    const std::size_t retry_sym = rxcfg_.preamble_len + phy::kHeaderRetryBit;
+    const std::size_t hdr_end = rxcfg_.preamble_len + phy::kHeaderBits;
+    for (const MpStep& step : plan.steps) {
+      const std::size_t p = step.packet;
+      const std::size_t c = step.collision;
+      // The plan's steps come from the placements, so every link they name
+      // is present; a parsed header may since have shortened the packet.
+      ZZ_DCHECK(links_[p][c].present);
+      const std::size_t k0 = std::min(step.k0, pkts_[p].len);
+      const std::size_t k1 = std::min(step.k1, pkts_[p].len);
+      if (k1 <= k0) continue;
+      Window seen;
+      if (step.kind == MpStep::Kind::Eliminate)
+        eliminate(step, k0, k1);
+      else if (!solve_chunk(p, c, k0, k1, /*backward=*/false, seen))
+        continue;
+      // Note which transmission the variant-sensitive header symbols (retry
+      // bit + HCS) were last solved against; an elimination references the
+      // samples of its first equation.
+      if (k0 < hdr_end && k1 > retry_sym)
+        pkts_[p].hdr_variant_hint = inputs_[c].is_retransmission ? 1 : 0;
+      maybe_parse_header(p);
+      subtract_everywhere(p, k0, std::min(k1, pkts_[p].len));
+    }
+    return finalize();
+  }
+
+  // Solve packet a's symbols [k0,k1) from the pair of equations (c1, c2)
+  // that carry packets a and b at the same relative offset. For each symbol
+  // the two receptions are sampled at positions where b's baseband waveform
+  // argument is IDENTICAL, so b cancels exactly in the 2x2 solve no matter
+  // what its (unknown) symbols are; a's second sample sits off its symbol
+  // grid by the residual sync mismatch, which the pulse-shape coefficient
+  // absorbs to first order. An ill-conditioned symbol is left unsolved and
+  // counted as a stall break.
+  void eliminate(const MpStep& step, std::size_t k0, std::size_t k1) {
+    const std::size_t a = step.packet;
+    const std::size_t c1 = step.collision;
+    const std::size_t c2 = step.other_collision;
+    const Link& la1 = links_[a][c1];
+    const Link& la2 = links_[a][c2];
+    const Link& lb1 = links_[step.other_packet][c1];
+    const Link& lb2 = links_[step.other_packet][c2];
+    // The planner pairs two distinct packets present in two distinct
+    // equations; a degenerate pairing would make the system singular.
+    ZZ_DCHECK_NE(a, step.other_packet);
+    ZZ_DCHECK_NE(c1, c2);
+    ZZ_DCHECK(la2.present && lb1.present && lb2.present);
+
+    // A link's mixing coefficient at `rel` samples past its origin.
+    const auto coef = [](const Link& l, double rel) {
+      return l.est.params.h *
+             std::polar(1.0, kTwoPi * (l.est.params.freq_offset * rel));
+    };
+    PacketCtx& pk = pkts_[a];
+    const sig::SincInterpolator interp(opt_.interp_half_width);
+    const CVec& pre = phy::preamble(rxcfg_.preamble_len);
+    for (std::size_t k = k0; k < k1; ++k) {
+      // Sample c1 at a's symbol-k centre.
+      const double rel_a1 =
+          chan::kSps * static_cast<double>(k) * (1.0 + la1.est.params.drift) +
+          la1.est.params.mu;
+      const double pos1 = static_cast<double>(la1.origin) + rel_a1;
+      // Sample c2 where b's waveform argument matches c1's sample.
+      const double tau = pos1 - static_cast<double>(lb1.origin) -
+                         lb1.est.params.mu;
+      const double pos2 = static_cast<double>(lb2.origin) +
+                          lb2.est.params.mu + tau;
+      const double rel_a2 = pos2 - static_cast<double>(la2.origin);
+      const double eps =
+          rel_a2 - (chan::kSps * static_cast<double>(k) *
+                        (1.0 + la2.est.params.drift) +
+                    la2.est.params.mu);
+
+      const cplx z1 = interp.at(residual_[c1], pos1);
+      const cplx z2 = interp.at(residual_[c2], pos2);
+
+      const cplx ca1 = coef(la1, rel_a1);
+      const cplx cb1 = coef(lb1, pos1 - static_cast<double>(lb1.origin));
+      const cplx ca2 =
+          coef(la2, rel_a2) * chan::pulse(eps, opt_.interp_half_width);
+      const cplx cb2 = coef(lb2, pos2 - static_cast<double>(lb2.origin));
+
+      const cplx det = ca1 * cb2 - cb1 * ca2;
+      const double scale = std::abs(ca1 * cb2) + std::abs(cb1 * ca2);
+      if (scale < 1e-12 || std::abs(det) < kMinDetRatio * scale) {
+        ++stalls_;
+        continue;
+      }
+      const cplx sym = (z1 * cb2 - z2 * cb1) / det;
+      pk.decided[k] = k < pre.size()
+                          ? pre[k]
+                          : phy::Modulator(mod_at(a, k)).nearest_point(sym);
+      pk.known[k] = 1;
+    }
+  }
+
   DecodeResult finalize() {
     DecodeResult out;
     out.chunks = chunks_;
@@ -1515,6 +1759,7 @@ class Engine {
     kSlotEstU,      ///< refinement shared ISI-filtered symbol stream
   };
 
+  const Route route_;
   const DecodeOptions& opt_;
   const phy::ReceiverConfig& rxcfg_;
   std::span<const phy::SenderProfile> profiles_;
@@ -1546,6 +1791,21 @@ class Engine {
   std::size_t stalls_ = 0;
 };
 
+DecodeResult run_engine(Route route, std::span<const CollisionInput> collisions,
+                        std::span<const phy::SenderProfile> profiles,
+                        std::size_t num_packets, std::size_t packet_syms,
+                        const DecodeOptions& opt,
+                        const phy::ReceiverConfig& rxcfg, DecodeCache* cache,
+                        sig::ScratchArena* arena) {
+  if (collisions.empty() || num_packets == 0) return {};
+  for (const auto& ci : collisions)
+    if (ci.samples == nullptr)
+      throw std::invalid_argument("joint decode: null samples");
+  Engine engine(route, collisions, profiles, num_packets, packet_syms, opt,
+                rxcfg, cache, arena);
+  return engine.run();
+}
+
 }  // namespace
 
 bool DecodeResult::all_crc_ok() const {
@@ -1561,12 +1821,22 @@ DecodeResult ZigZagDecoder::decode(std::span<const CollisionInput> collisions,
                                    std::span<const phy::SenderProfile> profiles,
                                    std::size_t num_packets, DecodeCache* cache,
                                    sig::ScratchArena* arena) const {
-  if (collisions.empty() || num_packets == 0) return {};
-  for (const auto& ci : collisions)
-    if (ci.samples == nullptr)
-      throw std::invalid_argument("ZigZagDecoder: null samples");
-  Engine engine(collisions, profiles, num_packets, opt_, rxcfg_, cache, arena);
-  return engine.run();
+  return run_engine(Route::Greedy, collisions, profiles, num_packets,
+                    /*packet_syms=*/0, opt_, rxcfg_, cache, arena);
+}
+
+AlgebraicMpDecoder::AlgebraicMpDecoder(phy::ReceiverConfig rxcfg)
+    : rxcfg_(rxcfg) {}
+
+DecodeResult AlgebraicMpDecoder::decode(
+    std::span<const CollisionInput> collisions,
+    std::span<const phy::SenderProfile> profiles, std::size_t num_packets,
+    std::size_t packet_syms) const {
+  // The plan route reads only the decoder gains, the sinc width and the
+  // tracking/ISI switches, all at their defaults.
+  const DecodeOptions opt;
+  return run_engine(Route::Plan, collisions, profiles, num_packets,
+                    packet_syms, opt, rxcfg_, nullptr, nullptr);
 }
 
 }  // namespace zz::zigzag

@@ -17,6 +17,9 @@
 //   6. repeats until both packets are out; a backward pass and optional
 //      refinement passes give each symbol two independent estimates that
 //      are MRC-combined (§4.3b).
+// The same engine also runs the "Collision Helps" message-passing plan
+// (AlgebraicMpDecoder, zz/zigzag/algebraic_mp.h): the plan's peels and 2x2
+// eliminations replace step 2, and a per-link gain refit replaces 5 and 6.
 #pragma once
 
 #include <cstddef>

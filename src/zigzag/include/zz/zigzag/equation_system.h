@@ -18,9 +18,9 @@
 //     undecodable, while the algebraic receiver solves them whenever the
 //     channel coefficients are linearly independent.
 //
-// Like zz/zigzag/scheduler.h this module is pure geometry: it plans, the
-// waveform executor (zz/zigzag/algebraic_mp.h) carries the plan out on real
-// samples. The plan comes from the same interval-based chunk planner as
+// Like zz/zigzag/scheduler.h this module is pure geometry: it plans, and
+// AlgebraicMpDecoder (zz/zigzag/algebraic_mp.h) carries the plan out on
+// real samples as the plan route of the zigzag decoder's engine. The plan comes from the same interval-based chunk planner as
 // greedy_schedule — its peel rounds are the greedy rounds with equations
 // visited best-conditioned-first (order_equations), plus an elimination
 // whenever a round stalls.

@@ -17,7 +17,8 @@
 // when it lies outside every unknown interval of the other packets in its
 // collision, dilated by the guard; each step solves one maximal such run.
 // The same planner, visiting equations best-conditioned-first and adding
-// 2x2 eliminations, makes message_passing_plan (zz/zigzag/equation_system.h).
+// 2x2 eliminations, makes message_passing_plan (zz/zigzag/equation_system.h),
+// which the same waveform engine runs as AlgebraicMpDecoder.
 #pragma once
 
 #include <cstddef>

@@ -1,14 +1,17 @@
 // Tests for the "Collision Helps" equation-system layer: the message-passing
-// plan (zz/zigzag/equation_system.h), plus the waveform executor
-// (zz/zigzag/algebraic_mp.h) on synthesized collisions — including the
-// equal-offset pattern that pure zigzag cannot decode (Assertion 4.5.1) but
-// 2x2 Gaussian elimination can.
+// plan (zz/zigzag/equation_system.h), plus the plan route of the decoder
+// engine (zz/zigzag/algebraic_mp.h) on synthesized collisions — including
+// the equal-offset pattern that pure zigzag cannot decode (Assertion 4.5.1)
+// but 2x2 Gaussian elimination can — and the input contract both of the
+// engine's entry points share.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "zz/chan/channel.h"
+#include "zz/common/alloc_hook.h"
 #include "zz/common/mathutil.h"
 #include "zz/common/rng.h"
 #include "zz/emu/collision.h"
@@ -244,6 +247,41 @@ TEST(AlgebraicMpDecoder, EliminatesEqualOffsetPairZigZagCannot) {
   EXPECT_LT(mp_worst, zz_worst);
 }
 
+TEST(AlgebraicMpDecoder, SubstitutedImagesKeepTheirLeadingTails) {
+  // Near-equal offsets (181 vs 163 samples) cut both packets into many
+  // short chunks, so most substituted images start mid-packet. An image
+  // that leaves out the pulse tail before its first symbol (the renderer
+  // draws nothing before its stream's first symbol) leaves that tail in
+  // every equation, and later steps decode on top of it: BER 0.24 / 0.30
+  // here instead of 0.016 / 0.006.
+  Rng rng(33);
+  const auto s = make_pair(rng, 120, 14.0, 181, 163);
+  const CollisionInput ins[] = {s.in1, s.in2};
+  const auto res = AlgebraicMpDecoder().decode(
+      {ins, 2}, s.profiles, 2,
+      phy::layout_for(s.alice.frame.header).total_syms);
+  ASSERT_EQ(res.packets.size(), 2u);
+  EXPECT_LT(packet_ber(s.alice.frame, res.packets[0]), 5e-2);
+  EXPECT_LT(packet_ber(s.bob.frame, res.packets[1]), 5e-2);
+}
+
+TEST(AlgebraicMpDecoder, HeaderParseLeavesLinkEstimatesAlone) {
+  // By the time this pair's headers parse, a chunk decoder's δf̂ has moved
+  // more than 8e-5 off the sender profile. The greedy route snaps such a
+  // link back to the profile, rotating ĥ to keep the phase continuous at
+  // the link's last projection point; the plan route has none, and a snap
+  // breaks the phase: BER 0.24 / 0.25 instead of 0.058 / 0.016.
+  Rng rng(8);
+  const auto s = make_pair(rng, 150, 14.0, 80, 240);
+  const CollisionInput ins[] = {s.in1, s.in2};
+  const auto res = AlgebraicMpDecoder().decode(
+      {ins, 2}, s.profiles, 2,
+      phy::layout_for(s.alice.frame.header).total_syms);
+  ASSERT_EQ(res.packets.size(), 2u);
+  EXPECT_LT(packet_ber(s.alice.frame, res.packets[0]), 0.1);
+  EXPECT_LT(packet_ber(s.bob.frame, res.packets[1]), 0.1);
+}
+
 TEST(AlgebraicMpDecoder, RejectsNullSamples) {
   CollisionInput in;
   const AlgebraicMpDecoder dec;
@@ -265,6 +303,113 @@ TEST(AlgebraicMpDecoder, EmptyInputsReturnEmpty) {
   const AlgebraicMpDecoder dec;
   const auto res = dec.decode({}, {}, 0);
   EXPECT_TRUE(res.packets.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Both entry points of the engine: ZigZagDecoder (greedy route) and
+// AlgebraicMpDecoder (plan route) share one input screen and set-up.
+// ---------------------------------------------------------------------------
+
+DecodeResult decode_with(bool plan, std::span<const CollisionInput> ins,
+                         std::span<const phy::SenderProfile> profiles,
+                         std::size_t num_packets) {
+  if (plan) return AlgebraicMpDecoder().decode(ins, profiles, num_packets);
+  return ZigZagDecoder().decode(ins, profiles, num_packets);
+}
+
+TEST(JointDecodeEntry, NullSamplesRejectedOnBothRoutes) {
+  const CollisionInput in;
+  for (const bool plan : {false, true})
+    EXPECT_THROW((void)decode_with(plan, {&in, 1}, {}, 1),
+                 std::invalid_argument)
+        << "plan route: " << plan;
+}
+
+TEST(JointDecodeEntry, OutOfRangePlacementRejectedOnBothRoutes) {
+  Rng rng(5);
+  auto s = make_pair(rng, 60, 20.0, 80, 240);
+  s.in2.placements[1].packet = 2;  // only packets 0 and 1 exist
+  const CollisionInput ins[] = {s.in1, s.in2};
+  for (const bool plan : {false, true})
+    EXPECT_THROW((void)decode_with(plan, {ins, 2}, s.profiles, 2),
+                 std::invalid_argument)
+        << "plan route: " << plan;
+}
+
+TEST(JointDecodeEntry, EmptyInputsReturnEmptyOnBothRoutes) {
+  Rng rng(5);
+  const auto s = make_pair(rng, 60, 20.0, 80, 240);
+  for (const bool plan : {false, true}) {
+    EXPECT_TRUE(decode_with(plan, {}, s.profiles, 2).packets.empty());
+    EXPECT_TRUE(decode_with(plan, {&s.in1, 1}, s.profiles, 0).packets.empty());
+  }
+}
+
+TEST(JointDecodeEntry, UnplacedPacketsGetZeroLengthOnBothRoutes) {
+  // One clean reception of one packet, decoded as packet 0 of 1 and of 3.
+  // Packets 1 and 2 are placed nowhere: they have nothing to decode, so
+  // they must neither size buffers for a maximal packet nor report symbols.
+  Rng rng(9);
+  const Party alice = make_party(rng, 1, 100, 120, 20.0);
+  const auto rx = emu::CollisionBuilder()
+                      .lead(64)
+                      .add(alice.frame, alice.channel, 0)
+                      .build(rng);
+  CollisionInput in;
+  in.samples = &rx.samples;
+  in.placements = {
+      {0, detect_at(rx.samples, rx.truth[0].start, alice.profile, 0)}};
+  const std::vector<phy::SenderProfile> profiles = {alice.profile};
+
+  for (const bool plan : {false, true}) {
+    SCOPED_TRACE(plan ? "plan route" : "greedy route");
+    AllocTally one_tally;
+    const auto one = decode_with(plan, {&in, 1}, profiles, 1);
+    const std::uint64_t one_bytes = one_tally.alloc_bytes();
+    AllocTally three_tally;
+    const auto three = decode_with(plan, {&in, 1}, profiles, 3);
+    const std::uint64_t three_bytes = three_tally.alloc_bytes();
+
+    ASSERT_EQ(one.packets.size(), 1u);
+    ASSERT_EQ(three.packets.size(), 3u);
+    EXPECT_TRUE(one.packets[0].crc_ok);
+    EXPECT_EQ(three.packets[0].air_bits, one.packets[0].air_bits);
+    for (std::size_t p = 1; p < 3; ++p) {
+      EXPECT_EQ(three.packets[p].symbols_decoded, 0u) << "packet " << p;
+      EXPECT_FALSE(three.packets[p].header_ok) << "packet " << p;
+    }
+    EXPECT_LE(three_bytes, 2 * one_bytes);
+  }
+}
+
+TEST(JointDecodeEntry, RetryCompletionOnlyOnPlanRoute) {
+  // A header whose retry bit disagrees with its HCS: the greedy route must
+  // reject it, while the plan route rebuilds the retry and HCS bits from
+  // the solving collision's retransmission flag and parses it.
+  Rng rng(13);
+  Party alice = make_party(rng, 1, 100, 120, 20.0);
+  alice.frame.symbols[phy::kPreambleLength + phy::kHeaderRetryBit] *= -1.0;
+  const auto rx = emu::CollisionBuilder()
+                      .lead(64)
+                      .add(alice.frame, alice.channel, 0)
+                      .build(rng);
+  CollisionInput in;
+  in.samples = &rx.samples;
+  in.is_retransmission = true;
+  in.placements = {
+      {0, detect_at(rx.samples, rx.truth[0].start, alice.profile, 0)}};
+  const std::vector<phy::SenderProfile> profiles = {alice.profile};
+
+  const auto greedy = decode_with(false, {&in, 1}, profiles, 1);
+  ASSERT_EQ(greedy.packets.size(), 1u);
+  EXPECT_FALSE(greedy.packets[0].header_ok);
+
+  const auto plan = decode_with(true, {&in, 1}, profiles, 1);
+  ASSERT_EQ(plan.packets.size(), 1u);
+  ASSERT_TRUE(plan.packets[0].header_ok);
+  EXPECT_TRUE(plan.packets[0].header.retry);
+  EXPECT_EQ(plan.packets[0].header.seq, 100u);
+  EXPECT_TRUE(plan.packets[0].crc_ok);
 }
 
 }  // namespace
